@@ -1,17 +1,22 @@
-# Repository CI targets. `make ci` is what a PR must keep green: vet,
-# build, the full test suite under the race detector (guarding the
-# parallel per-zone simulation engine in internal/core and the sweep
-# pool in internal/par), and the gated benchmark snapshot (bench-json),
-# which both keeps the BenchmarkCoreRun* variants runnable and fails
-# the build when allocs/op or B/op regress >20% — or ns/op >2x, a
-# wide tripwire because wall-clock on a loaded box is noise — against
-# the committed BENCH_core.json (see scripts/benchgate).
+# Repository CI targets. `make ci` is what a PR must keep green; it
+# runs scripts/ci.sh, the one definition of the CI steps: vet, build,
+# the full test suite under the race detector (guarding the parallel
+# per-zone simulation engine in internal/core and the sweep pool in
+# internal/par) and again in shuffled order, a one-minute fuzz of the
+# operator checkpoint decoder, the gated benchmark snapshot
+# (bench-json), which both keeps the BenchmarkCoreRun* variants
+# runnable and fails the build when allocs/op or B/op regress >20% —
+# or ns/op >2x, a wide tripwire because wall-clock on a loaded box is
+# noise — against the committed BENCH_core.json (see
+# scripts/benchgate), and every smoke below. The other targets run one
+# step each.
 
 GO ?= go
 
 .PHONY: ci vet build test race bench-smoke bench bench-json chaos-smoke recovery-smoke obs-smoke daemon-smoke slo-smoke
 
-ci: vet build race bench-json chaos-smoke recovery-smoke obs-smoke daemon-smoke slo-smoke
+ci:
+	sh scripts/ci.sh
 
 vet:
 	$(GO) vet ./...
@@ -46,19 +51,7 @@ chaos-smoke:
 # byte-identical to an uninterrupted run's — metrics continuity across
 # the kill, end to end.
 recovery-smoke:
-	d=$$(mktemp -d) && \
-	$(GO) run -race ./cmd/mmogsim -days 1 -predictor movingavg -fault-dropout 0.02 \
-		> $$d/ref.out && \
-	$(GO) run -race ./cmd/mmogsim -days 1 -predictor movingavg -fault-dropout 0.02 \
-		-checkpoint-dir $$d/ckpt -checkpoint-every 100 -stop-after-tick 400 \
-		> $$d/stop.out 2> $$d/stop.err && \
-	test ! -s $$d/stop.out && \
-	$(GO) run -race ./cmd/mmogsim -days 1 -predictor movingavg -fault-dropout 0.02 \
-		-checkpoint-dir $$d/ckpt -checkpoint-every 100 \
-		> $$d/resume.out 2> $$d/resume.err && \
-	grep -q 'resumed from checkpoint at tick 400' $$d/resume.err && \
-	cmp $$d/ref.out $$d/resume.out && \
-	rm -rf $$d
+	sh scripts/recovery_smoke.sh
 
 # Observability smoke: serve /metrics + /debug/pprof from a live run,
 # scrape and assert the key series, and byte-diff the obs-on stdout

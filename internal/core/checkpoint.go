@@ -64,7 +64,7 @@ func (s *engineState) snapshot(doneTick int) ([]byte, error) {
 	e.Bool(s.cfg.Static)
 	e.Int(len(s.zones))
 	for i := range s.zones {
-		e.Str(s.zones[i].tag)
+		e.Str(s.zones[i].Tag)
 	}
 	e.Int(len(s.cfg.Centers))
 	for _, c := range s.cfg.Centers {
@@ -163,21 +163,20 @@ func (s *engineState) snapshot(doneTick int) ([]byte, error) {
 		} else {
 			st, ok := z.predictor.(predict.Stateful)
 			if !ok {
-				return nil, fmt.Errorf("core: zone %s predictor %T is not snapshotable", z.tag, z.predictor)
+				return nil, fmt.Errorf("core: zone %s predictor %T is not snapshotable", z.Tag, z.predictor)
 			}
 			e.Bool(true)
 			e.Bytes(st.Snapshot())
 		}
 		e.F64(z.lastObs)
-		e.Int(z.retries)
-		e.Int(z.retryAt)
+		z.EncodeBackoff(e)
 		e.Int(z.failoverAt)
 		e.Int(len(z.pendingLost))
 		for _, name := range z.pendingLost {
 			e.Str(name)
 		}
-		refs := make([]int, 0, 2*len(z.leases))
-		for _, l := range z.leases {
+		refs := make([]int, 0, 2*len(z.Leases))
+		for _, l := range z.Leases {
 			p, ok := leasePos[l]
 			if !ok {
 				// A zone holding a lease absent from every live book can
@@ -185,7 +184,7 @@ func (s *engineState) snapshot(doneTick int) ([]byte, error) {
 				// yet; it contributes nothing and is dropped from the
 				// snapshot (pruning does the same next tick).
 				if !l.Released() {
-					return nil, fmt.Errorf("core: zone %s holds a live lease missing from every center", z.tag)
+					return nil, fmt.Errorf("core: zone %s holds a live lease missing from every center", z.Tag)
 				}
 				continue
 			}
@@ -250,8 +249,8 @@ func (s *engineState) restore(payload []byte) (int, error) {
 		return 0, fmt.Errorf("core: resume: checkpoint has %d zones, run has %d", v, len(s.zones))
 	}
 	for i := range s.zones {
-		if tag := d.Str(); d.Err() == nil && tag != s.zones[i].tag {
-			return 0, fmt.Errorf("core: resume: zone %q in checkpoint, %q in run", tag, s.zones[i].tag)
+		if tag := d.Str(); d.Err() == nil && tag != s.zones[i].Tag {
+			return 0, fmt.Errorf("core: resume: zone %q in checkpoint, %q in run", tag, s.zones[i].Tag)
 		}
 	}
 	if v := d.Int(); d.Err() == nil && v != len(s.cfg.Centers) {
@@ -373,15 +372,14 @@ func (s *engineState) restore(payload []byte) (int, error) {
 			snap = d.Bytes()
 		}
 		z.lastObs = d.F64()
-		z.retries = d.Int()
-		z.retryAt = d.Int()
+		z.DecodeBackoff(d)
 		z.failoverAt = d.Int()
 		nPending := d.Int()
 		if d.Err() != nil {
 			break
 		}
 		if nPending < 0 || nPending > len(s.cfg.Centers) {
-			return 0, fmt.Errorf("core: resume: zone %s parks %d failovers", z.tag, nPending)
+			return 0, fmt.Errorf("core: resume: zone %s parks %d failovers", z.Tag, nPending)
 		}
 		z.pendingLost = z.pendingLost[:0]
 		for j := 0; j < nPending; j++ {
@@ -392,27 +390,27 @@ func (s *engineState) restore(payload []byte) (int, error) {
 			break
 		}
 		if hasPredictor != (z.predictor != nil) {
-			return 0, fmt.Errorf("core: resume: zone %s predictor presence mismatch", z.tag)
+			return 0, fmt.Errorf("core: resume: zone %s predictor presence mismatch", z.Tag)
 		}
 		if hasPredictor {
 			st, ok := z.predictor.(predict.Stateful)
 			if !ok {
-				return 0, fmt.Errorf("core: resume: zone %s predictor %T is not snapshotable", z.tag, z.predictor)
+				return 0, fmt.Errorf("core: resume: zone %s predictor %T is not snapshotable", z.Tag, z.predictor)
 			}
 			if err := st.Restore(snap); err != nil {
 				return fail(err)
 			}
 		}
 		if len(refs)%2 != 0 {
-			return 0, fmt.Errorf("core: resume: zone %s has a dangling lease reference", z.tag)
+			return 0, fmt.Errorf("core: resume: zone %s has a dangling lease reference", z.Tag)
 		}
-		z.leases = z.leases[:0]
+		z.Leases = z.Leases[:0]
 		for k := 0; k+1 < len(refs); k += 2 {
 			ci, pos := refs[k], refs[k+1]
 			if ci < 0 || ci >= len(books) || pos < 0 || pos >= len(books[ci]) {
-				return 0, fmt.Errorf("core: resume: zone %s references lease (%d,%d) outside the books", z.tag, ci, pos)
+				return 0, fmt.Errorf("core: resume: zone %s references lease (%d,%d) outside the books", z.Tag, ci, pos)
 			}
-			z.leases = append(z.leases, books[ci][pos])
+			z.Leases = append(z.Leases, books[ci][pos])
 		}
 	}
 

@@ -36,15 +36,8 @@ import (
 	"mmogdc/internal/obs"
 	"mmogdc/internal/par"
 	"mmogdc/internal/predict"
+	"mmogdc/internal/provision"
 	"mmogdc/internal/trace"
-)
-
-// Backoff policy for injected grant rejections: after the n-th
-// consecutive rejected acquisition a zone waits 1, 2, 4, then 8 ticks
-// before asking again (bounded exponential backoff).
-const (
-	maxRetryExp     = 4
-	maxBackoffTicks = 8
 )
 
 // SignificantUnderPct is the |Υ| threshold (in percent) above which an
@@ -233,14 +226,14 @@ type CenterStats struct {
 // per-tick phases walk them by index, so zone state, partials, and
 // accumulators all live in contiguous, preallocated memory.
 type zoneState struct {
+	// Ledger holds the zone's lease book and rejection backoff. Its Tag
+	// is the zone's request/accounting tag ("game/group"), built once
+	// at construction — the tick loop must never format it.
+	provision.Ledger
 	game      *mmog.Game
 	group     *trace.Group
 	region    trace.Region
 	predictor predict.Predictor
-	leases    []*datacenter.Lease
-	// tag is the zone's request/accounting tag ("game/group"), built
-	// once at construction — the tick loop must never format it.
-	tag string
 	// idx is the zone's position in the canonical zone order — the
 	// index of its slot in the per-tick partials.
 	idx int
@@ -255,11 +248,6 @@ type zoneState struct {
 	// lastObs carries the last monitoring sample that actually
 	// arrived; dropouts feed it to the predictor instead (LOCF).
 	lastObs float64
-	// retries and retryAt implement the bounded backoff after
-	// injected grant rejections: the zone skips acquisitions until
-	// tick retryAt.
-	retries int
-	retryAt int
 	// pendingLost and failoverAt implement storm control: when the
 	// per-tick failover budget is exhausted, the centers that dropped
 	// this zone are parked here and the failover re-acquisition runs at
@@ -297,48 +285,6 @@ type workerArena struct {
 	_       [56]byte // pad to a 64-byte cache line
 }
 
-// activeAlloc sums the zone's live leases at time now, pruning dead
-// ones.
-func (z *zoneState) activeAlloc(now time.Time) datacenter.Vector {
-	var sum datacenter.Vector
-	live := z.leases[:0]
-	for _, l := range z.leases {
-		if l.Active(now) {
-			sum = sum.Add(l.Alloc)
-			live = append(live, l)
-		}
-	}
-	z.leases = live
-	return sum
-}
-
-// allocAt sums the leases that will still be active at time t, without
-// pruning. The acquire phase sizes requests against the allocation
-// surviving to the *next* scoring instant, so leases are renewed
-// before they lapse rather than one tick after.
-func (z *zoneState) allocAt(t time.Time) datacenter.Vector {
-	var sum datacenter.Vector
-	for _, l := range z.leases {
-		if l.Active(t) {
-			sum = sum.Add(l.Alloc)
-		}
-	}
-	return sum
-}
-
-// backOff schedules zone z's next acquisition attempt after an
-// injected rejection at tick t: 1, 2, 4, then 8 ticks out, capped.
-func backOff(z *zoneState, t int) {
-	if z.retries < maxRetryExp {
-		z.retries++
-	}
-	backoff := 1 << (z.retries - 1)
-	if backoff > maxBackoffTicks {
-		backoff = maxBackoffTicks
-	}
-	z.retryAt = t + backoff
-}
-
 // failoverJitter spreads deferred failovers over the next 1–4 ticks
 // with a stateless hash of (zone, tick) — deterministic for any worker
 // count (the acquire phase is sequential), different per zone and per
@@ -369,18 +315,6 @@ func sanitizePrediction(v float64) float64 {
 	if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 		return 0
 	}
-	return v
-}
-
-// demandVector converts a player count into the datacenter resource
-// vector via the game's update model and resource profile.
-func demandVector(g *mmog.Game, players float64) datacenter.Vector {
-	d := g.DemandForEntities(players)
-	var v datacenter.Vector
-	v[datacenter.CPU] = d.CPU
-	v[datacenter.Memory] = d.Memory
-	v[datacenter.ExtNetIn] = d.ExtNetIn
-	v[datacenter.ExtNetOut] = d.ExtNetOut
 	return v
 }
 
@@ -419,11 +353,16 @@ func Run(cfg Config) (*Result, error) {
 			regions[r.ID] = r
 		}
 		for _, g := range w.Dataset.Groups {
+			region := regions[g.RegionID]
 			z := zoneState{
+				Ledger: provision.Ledger{
+					Tag:           fmt.Sprintf("%s/%s", w.Game.Name, g.Name()),
+					Origin:        region.Location,
+					MaxDistanceKm: w.Game.LatencyKm,
+				},
 				game:    w.Game,
 				group:   g,
-				region:  regions[g.RegionID],
-				tag:     fmt.Sprintf("%s/%s", w.Game.Name, g.Name()),
+				region:  region,
 				idx:     len(zones),
 				gameIdx: gi,
 			}
@@ -495,7 +434,7 @@ func Run(cfg Config) (*Result, error) {
 					peak = v
 				}
 			}
-			z.staticAlloc = demandVector(z.game, peak)
+			z.staticAlloc = provision.Vector(z.game.DemandForEntities(peak))
 		}
 		// With centers configured, each static fleet lives in a home
 		// center (round-robin) and darkens with its outages — the
@@ -584,7 +523,7 @@ func Run(cfg Config) (*Result, error) {
 
 	tagToZone := make(map[string]int, len(zones))
 	for i := range zones {
-		tagToZone[zones[i].tag] = i
+		tagToZone[zones[i].Tag] = i
 	}
 	// lostCenters[i] names the centers that dropped zone i's leases at
 	// the current tick — the same-tick failover re-acquires from
@@ -732,7 +671,7 @@ func Run(cfg Config) (*Result, error) {
 		ro.beginBootstrap()
 		pool.ForWorker(len(zones), func(i, w int) {
 			z := &zones[i]
-			sp := ro.zoneSpan(z.tag, 0, w)
+			sp := ro.zoneSpan(z.Tag, 0, w)
 			defer sp.End()
 			v := z.group.Load.At(0)
 			if plan.DropSample(z.idx, 0) || math.IsNaN(v) {
@@ -744,12 +683,12 @@ func Run(cfg Config) (*Result, error) {
 			}
 			z.predictor.Observe(v)
 			predicted := sanitizePrediction(z.predictor.Predict())
-			partials[i].need = demandVector(z.game, predicted*(1+cfg.SafetyMargin))
+			partials[i].need = provision.Vector(z.game.DemandForEntities(predicted * (1 + cfg.SafetyMargin)))
 		})
 		for i := range zones {
 			if partials[i].dropped {
 				resil.DroppedSamples++
-				ro.droppedSample(0, zones[i].tag)
+				ro.droppedSample(0, zones[i].Tag)
 			}
 		}
 		for _, zi := range acquireOrder {
@@ -758,20 +697,11 @@ func Run(cfg Config) (*Result, error) {
 			if want.IsZero() {
 				continue
 			}
-			asp := ro.beginZoneAcquire(0, z.tag, nil, false)
-			leases, unmet, out := matcher.AllocateDetailed(ecosystem.Request{
-				Tag:           z.tag,
-				Origin:        z.region.Location,
-				MaxDistanceKm: z.game.LatencyKm,
-				Demand:        want,
-			}, start)
-			z.leases = append(z.leases, leases...)
+			asp := ro.beginZoneAcquire(0, z.Tag, nil, false)
+			leases, _, out := z.Acquire(matcher, want, nil, start, 0)
 			resil.Rejections += out.Rejections
 			resil.PartialGrants += out.PartialGrants
-			ro.acquired(0, z.tag, leases, out, nil, asp)
-			if out.Rejections > 0 && !unmet.IsZero() {
-				backOff(z, 0)
-			}
+			ro.acquired(0, z.Tag, leases, out, nil, asp)
 		}
 		ro.endBootstrap()
 	}
@@ -791,7 +721,7 @@ func Run(cfg Config) (*Result, error) {
 	)
 	zoneTick := func(i, w int) {
 		z := &zones[i]
-		sp := ro.zoneSpan(z.tag, curTick, w)
+		sp := ro.zoneSpan(z.Tag, curTick, w)
 		defer sp.End()
 		pt := &partials[i]
 		if cfg.Static {
@@ -800,7 +730,7 @@ func Run(cfg Config) (*Result, error) {
 				pt.alloc = z.staticAlloc.Scale(z.home.AvailableFraction())
 			}
 		} else {
-			pt.alloc = z.activeAlloc(curNow)
+			pt.alloc = z.Active(curNow)
 		}
 		raw := z.group.Load.At(curTick)
 		loadVal := raw
@@ -817,7 +747,7 @@ func Run(cfg Config) (*Result, error) {
 			pt.dropped = false
 			z.lastObs = raw
 		}
-		pt.load = demandVector(z.game, loadVal)
+		pt.load = provision.Vector(z.game.DemandForEntities(loadVal))
 		pt.need = datacenter.Vector{}
 		if cfg.Static || curFinal {
 			return
@@ -829,8 +759,8 @@ func Run(cfg Config) (*Result, error) {
 		// next scoring instant, so leases renew before they lapse.
 		z.predictor.Observe(z.lastObs)
 		predicted := sanitizePrediction(z.predictor.Predict())
-		want := demandVector(z.game, predicted*(1+cfg.SafetyMargin))
-		have := z.allocAt(curNow.Add(tick))
+		want := provision.Vector(z.game.DemandForEntities(predicted * (1 + cfg.SafetyMargin)))
+		have := z.At(curNow.Add(tick))
 		pt.need = want.Sub(have).ClampNonNegative()
 	}
 	observePhase := func(lo, hi, w int) {
@@ -877,7 +807,7 @@ func Run(cfg Config) (*Result, error) {
 		if ro != nil && droppedNow > 0 {
 			for i := range zones {
 				if partials[i].dropped {
-					ro.droppedSample(t, zones[i].tag)
+					ro.droppedSample(t, zones[i].Tag)
 				}
 			}
 		}
@@ -959,7 +889,7 @@ func Run(cfg Config) (*Result, error) {
 			}
 			for i := range zones {
 				z := &zones[i]
-				for _, l := range z.leases {
+				for _, l := range z.Leases {
 					if l.Active(now) {
 						res.CenterStats[l.Center.Name].AllocatedByRegion[z.region.Name] += l.Alloc[datacenter.CPU]
 					}
@@ -1024,16 +954,16 @@ func Run(cfg Config) (*Result, error) {
 					}
 					zoneShed[zi] = true
 					released := 0
-					for _, l := range z.leases {
+					for _, l := range z.Leases {
 						if !l.Released() && l.Center.Release(l) {
 							released++
 						}
 					}
-					z.leases = z.leases[:0]
+					z.Leases = z.Leases[:0]
 					if released > 0 || z.lastObs > 0 {
 						resil.ShedLeases += released
 						resil.ShedPlayerTicks += z.lastObs
-						ro.shed(t, z.tag, z.lastObs, released)
+						ro.shed(t, z.Tag, z.lastObs, released)
 					}
 				}
 			} else if brownoutActive {
@@ -1095,7 +1025,7 @@ func Run(cfg Config) (*Result, error) {
 				lost = lostCenters[zi]
 				z.pendingLost = z.pendingLost[:0]
 			}
-			if len(lost) == 0 && t < z.retryAt {
+			if len(lost) == 0 && z.Waiting(t) {
 				// Backed off after injected rejections: don't hammer
 				// the ecosystem; the demand goes unserved this tick. A
 				// failover overrides the backoff — lost capacity is
@@ -1120,39 +1050,24 @@ func Run(cfg Config) (*Result, error) {
 				}
 				z.failoverAt = t + 1 + failoverJitter(zi, t)
 				resil.FailoversDeferred++
-				ro.failoverDeferred(t, z.tag, z.failoverAt)
+				ro.failoverDeferred(t, z.Tag, z.failoverAt)
 				anyUnmet = true
 				continue
 			}
-			retry := z.retries > 0
-			asp := ro.beginZoneAcquire(t, z.tag, lost, retry)
+			retry := z.Retrying()
+			asp := ro.beginZoneAcquire(t, z.Tag, lost, retry)
 			if retry {
 				resil.Retries++
-				ro.retried(t, z.tag, asp)
+				ro.retried(t, z.Tag, asp)
 			}
-			leases, unmet, out := matcher.AllocateDetailed(ecosystem.Request{
-				Tag:           z.tag,
-				Origin:        z.region.Location,
-				MaxDistanceKm: z.game.LatencyKm,
-				Demand:        need,
-				Exclude:       lost,
-			}, now)
-			if out.Decision != nil {
-				out.Decision.Tick = t
-			}
-			z.leases = append(z.leases, leases...)
+			leases, unmet, out := z.Acquire(matcher, need, lost, now, t)
 			resil.Rejections += out.Rejections
 			resil.PartialGrants += out.PartialGrants
-			ro.acquired(t, z.tag, leases, out, lost, asp)
+			ro.acquired(t, z.Tag, leases, out, lost, asp)
 			if len(lost) > 0 {
 				failoversNow++
 				resil.Failovers++
 				resil.FailoverLeases += len(leases)
-			}
-			if out.Rejections > 0 && !unmet.IsZero() {
-				backOff(z, t)
-			} else {
-				z.retries = 0
 			}
 			if !unmet.IsZero() {
 				anyUnmet = true

@@ -5,9 +5,6 @@
 // reload (the cadence and fault-injection knobs swap atomically,
 // validated before the swap), and graceful drain (stop admitting,
 // flush in-flight ticks, release leases, flush a final checkpoint).
-// examples/live is the embedded, single-process variant of the same
-// loop; this package is the service the ROADMAP's live-service item
-// asks for.
 package daemon
 
 import (

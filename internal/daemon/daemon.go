@@ -499,7 +499,7 @@ func (d *Daemon) Drain(ctx context.Context) error {
 	for _, name := range d.order {
 		g := d.games[name]
 		d.ecoMu.Lock()
-		err := g.op.Shutdown(g.now, nil)
+		err := g.op.Shutdown(nil)
 		var payload []byte
 		ticks := g.op.Metrics().Ticks
 		if err == nil && g.mgr != nil {

@@ -12,7 +12,10 @@ import (
 
 // payloadKind stamps operator checkpoints so they can never be
 // confused with the batch engine's (internal/core) snapshots.
-const payloadKind = "mmogdc/operator@2"
+const payloadKind = "mmogdc/operator@3"
+
+// maxLeases bounds a checkpoint's lease count before decoding it.
+const maxLeases = 1 << 20
 
 // Snapshot serializes the operator's complete provisioning state: the
 // per-zone predictors, tick counter and running metrics, the LOCF
@@ -49,23 +52,15 @@ func (o *Operator) Snapshot() ([]byte, error) {
 	e.Int(o.rejections)
 	e.Int(o.partialGrants)
 	e.Int(o.retries)
-	e.Int(o.consecRejects)
-	e.Int(o.retryAtTick)
-	e.Int(o.failoversDeferred)
-	e.Int(o.failoverAtTick)
-	e.Int(o.nextFailoverOK)
-	e.Int(len(o.pendingLost))
-	for _, name := range o.pendingLost {
-		e.Str(name)
-	}
+	o.book.EncodeBackoff(e)
 	live := 0
-	for _, l := range o.leases {
+	for _, l := range o.book.Leases {
 		if !l.Released() {
 			live++
 		}
 	}
 	e.Int(live)
-	for _, l := range o.leases {
+	for _, l := range o.book.Leases {
 		if l.Released() {
 			continue // tombstones are transient failover hints, not state
 		}
@@ -147,24 +142,13 @@ func FromSnapshot(cfg Config, payload []byte) (*Operator, *Reconciliation, error
 	o.rejections = d.Int()
 	o.partialGrants = d.Int()
 	o.retries = d.Int()
-	o.consecRejects = d.Int()
-	o.retryAtTick = d.Int()
-	o.failoversDeferred = d.Int()
-	o.failoverAtTick = d.Int()
-	o.nextFailoverOK = d.Int()
-	nPending := d.Int()
-	if err := d.Err(); err != nil {
-		return nil, nil, fmt.Errorf("operator: %w", err)
-	}
-	if nPending < 0 || nPending > 1<<16 {
-		return nil, nil, fmt.Errorf("operator: checkpoint parks %d failovers", nPending)
-	}
-	for i := 0; i < nPending; i++ {
-		o.pendingLost = append(o.pendingLost, d.Str())
-	}
+	o.book.DecodeBackoff(d)
 	nLeases := d.Int()
 	if err := d.Err(); err != nil {
 		return nil, nil, fmt.Errorf("operator: %w", err)
+	}
+	if nLeases < 0 || nLeases > maxLeases {
+		return nil, nil, fmt.Errorf("operator: checkpoint holds %d leases", nLeases)
 	}
 	type leaseRec struct {
 		center       string
@@ -172,32 +156,35 @@ func FromSnapshot(cfg Config, payload []byte) (*Operator, *Reconciliation, error
 		start, until time.Time
 		tag          string
 	}
-	recs := make([]leaseRec, nLeases)
-	for i := range recs {
-		recs[i].center = d.Str()
+	// The records grow as they decode, so a forged count costs nothing
+	// beyond the bytes actually present.
+	var recs []leaseRec
+	for i := 0; i < nLeases && d.Err() == nil; i++ {
+		r := leaseRec{center: d.Str()}
 		alloc := d.F64s()
-		recs[i].start = d.Time()
-		recs[i].until = d.Time()
-		recs[i].tag = d.Str()
-		if d.Err() == nil {
-			if len(alloc) != int(datacenter.NumResources) {
-				return nil, nil, fmt.Errorf("operator: lease %d has %d resources", i, len(alloc))
-			}
-			copy(recs[i].alloc[:], alloc)
+		r.start = d.Time()
+		r.until = d.Time()
+		r.tag = d.Str()
+		if d.Err() == nil && len(alloc) != int(datacenter.NumResources) {
+			return nil, nil, fmt.Errorf("operator: lease %d has %d resources", i, len(alloc))
 		}
+		copy(r.alloc[:], alloc)
+		recs = append(recs, r)
 	}
 	if err := d.Close(); err != nil {
 		return nil, nil, fmt.Errorf("operator: %w", err)
 	}
 	if nz >= 0 {
+		// The decoded load samples bound the zone count before it sizes
+		// anything.
+		if len(o.lastLoads) != nz {
+			return nil, nil, fmt.Errorf("operator: checkpoint has %d zones but %d load samples", nz, len(o.lastLoads))
+		}
 		o.zones = predict.NewZoneSet(cfg.Predictor, nz)
 		if err := o.zones.Restore(zoneState); err != nil {
 			return nil, nil, fmt.Errorf("operator: %w", err)
 		}
 		o.cleanBuf = make([]float64, nz)
-		if len(o.lastLoads) != nz {
-			return nil, nil, fmt.Errorf("operator: checkpoint has %d zones but %d load samples", nz, len(o.lastLoads))
-		}
 	}
 
 	// Reconcile the checkpointed lease book against the live ecosystem.
@@ -217,7 +204,7 @@ func FromSnapshot(cfg Config, payload []byte) (*Operator, *Reconciliation, error
 		}
 		if adopted != nil {
 			claimed[adopted] = true
-			o.leases = append(o.leases, adopted)
+			o.book.Leases = append(o.book.Leases, adopted)
 			rec.Adopted++
 			continue
 		}
@@ -225,7 +212,7 @@ func FromSnapshot(cfg Config, payload []byte) (*Operator, *Reconciliation, error
 		// operator was down (or the center left the configuration). A
 		// tombstone makes the loss visible to the first Observe, which
 		// fails the capacity over away from that center.
-		o.leases = append(o.leases, datacenter.Tombstone(c, r.alloc, r.start, r.until, r.tag))
+		o.book.Leases = append(o.book.Leases, datacenter.Tombstone(c, r.alloc, r.start, r.until, r.tag))
 		rec.Lost++
 	}
 	// Leases the ecosystem holds under this game's tag that the
@@ -264,14 +251,13 @@ func Restore(cfg Config, r io.Reader) (*Operator, *Reconciliation, error) {
 // the post-release state is flushed to it. A subsequent Restore from
 // that checkpoint resumes the forecasting state with an empty lease
 // book — exactly what a clean stop left behind.
-func (o *Operator) Shutdown(now time.Time, w io.Writer) error {
-	o.cfg.Matcher.Expire(now)
-	for _, l := range o.leases {
+func (o *Operator) Shutdown(w io.Writer) error {
+	for _, l := range o.book.Leases {
 		if !l.Released() && l.Center != nil {
 			l.Center.Release(l)
 		}
 	}
-	o.leases = o.leases[:0]
+	o.book.Leases = o.book.Leases[:0]
 	if w == nil {
 		return nil
 	}

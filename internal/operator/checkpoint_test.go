@@ -26,7 +26,7 @@ func TestObserveRejectsZoneCountMismatchBeforeSideEffects(t *testing.T) {
 	}
 	before := op.Metrics()
 	beforeLoads := append([]float64(nil), op.lastLoads...)
-	beforeLeases := len(op.leases)
+	beforeLeases := len(op.book.Leases)
 	for _, bad := range [][]float64{{800}, {800, 600, 400}, nil} {
 		if err := op.Observe(t0.Add(2*time.Minute), bad); err == nil {
 			t.Fatalf("zone count %d accepted (want 2)", len(bad))
@@ -38,7 +38,7 @@ func TestObserveRejectsZoneCountMismatchBeforeSideEffects(t *testing.T) {
 	if !reflect.DeepEqual(op.lastLoads, beforeLoads) {
 		t.Fatalf("rejected snapshots mutated LOCF buffer: %v", op.lastLoads)
 	}
-	if len(op.leases) != beforeLeases {
+	if len(op.book.Leases) != beforeLeases {
 		t.Fatal("rejected snapshots mutated the lease book")
 	}
 	// A valid snapshot still works afterwards.
@@ -177,6 +177,28 @@ func TestRestoreRejectsDamage(t *testing.T) {
 	}
 }
 
+// TestRestoreRefusesOperatorV2 pins the format bump: a payload stamped
+// with the previous kind, which carried the failover-cooldown state, is
+// refused by the kind check instead of being misread.
+func TestRestoreRefusesOperatorV2(t *testing.T) {
+	cfg := checkpointConfig(testMatcher(20))
+	op, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runTicks(t, op, 0, 5, []float64{600, 400})
+	payload, err := op.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(payload, []byte("mmogdc/operator@3"), []byte("mmogdc/operator@2"), 1)
+	_, _, err = FromSnapshot(checkpointConfig(testMatcher(20)), old)
+	want := `operator: checkpoint kind "mmogdc/operator@2", want "mmogdc/operator@3"`
+	if err == nil || err.Error() != want {
+		t.Fatalf("@2 payload: err = %v, want %s", err, want)
+	}
+}
+
 func TestRestoreReconcilesLostAndOrphanedLeases(t *testing.T) {
 	var b datacenter.Vector
 	b[datacenter.CPU] = 0.05
@@ -263,14 +285,14 @@ func TestShutdownReleasesLeasesAndFlushesCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	now := runTicks(t, op, 0, 12, []float64{900, 700})
+	runTicks(t, op, 0, 12, []float64{900, 700})
 	if m.Centers()[0].Allocated()[datacenter.CPU] == 0 {
 		t.Fatal("setup leased nothing")
 	}
 	ticksBefore := op.Metrics().Ticks
 
 	var final bytes.Buffer
-	if err := op.Shutdown(now, &final); err != nil {
+	if err := op.Shutdown(&final); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range m.Centers() {
@@ -291,7 +313,7 @@ func TestShutdownReleasesLeasesAndFlushesCheckpoint(t *testing.T) {
 	if restored.Metrics().Ticks != ticksBefore {
 		t.Fatalf("restored ticks = %d, want %d", restored.Metrics().Ticks, ticksBefore)
 	}
-	if len(restored.leases) != 0 {
+	if len(restored.book.Leases) != 0 {
 		t.Fatal("clean-shutdown checkpoint restored a lease book")
 	}
 }

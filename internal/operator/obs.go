@@ -30,7 +30,6 @@ type opObs struct {
 	grants         *obs.Counter
 	grantLeases    *obs.Counter
 	failovers      *obs.Counter
-	deferred       *obs.Counter
 	retries        *obs.Counter
 	rejections     *obs.Counter
 	partialGrants  *obs.Counter
@@ -68,8 +67,6 @@ func newOpObs(o *obs.Obs, game string) *opObs {
 			"Leases acquired across all grants.", g),
 		failovers: r.Counter("mmogdc_operator_failovers_total",
 			"Ticks that re-acquired capacity lost to a failed center.", g),
-		deferred: r.Counter("mmogdc_operator_failovers_deferred_total",
-			"Failovers the cooldown parked for a later, jittered tick.", g),
 		retries: r.Counter("mmogdc_operator_retries_total",
 			"Backed-off re-attempts after injected grant rejections.", g),
 		rejections: r.Counter("mmogdc_operator_rejections_total",
@@ -187,17 +184,6 @@ func (oo *opObs) droppedSample(tick, zone int) {
 	oo.droppedSamples.Inc()
 	oo.o.Recorder.Record(obs.Event{Tick: tick, Kind: obs.EventDropped,
 		Subject: oo.zoneSubject(zone), Span: oo.span()})
-}
-
-// failoverDeferred records storm control parking a failover until tick
-// until.
-func (oo *opObs) failoverDeferred(tick int, game string, until int) {
-	if oo == nil {
-		return
-	}
-	oo.deferred.Inc()
-	oo.o.Recorder.Record(obs.Event{Tick: tick, Kind: obs.EventDeferred,
-		Subject: game, Value: float64(until), Span: oo.span()})
 }
 
 func (oo *opObs) retried(tick int, game string) {

@@ -6,8 +6,9 @@
 // the forecast into a resource demand through the game's update model,
 // and leases any shortfall from the ecosystem. The trace-driven
 // batch simulator in internal/core implements the same cycle for whole
-// experiment runs; this package is its online, incremental sibling for
-// live deployments (see examples/live).
+// experiment runs, through the same acquisition step
+// (internal/provision); this package is its online, incremental
+// sibling for live deployments (see internal/daemon).
 package operator
 
 import (
@@ -15,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"mmogdc/internal/datacenter"
@@ -23,6 +25,7 @@ import (
 	"mmogdc/internal/mmog"
 	"mmogdc/internal/obs"
 	"mmogdc/internal/predict"
+	"mmogdc/internal/provision"
 )
 
 // Context-abort sentinels for ObserveCtx. Both wrap the context's own
@@ -40,13 +43,6 @@ var (
 	ErrAcquireAborted = errors.New("lease acquisition aborted")
 )
 
-// Backoff policy after injected grant rejections, mirroring
-// internal/core: 1, 2, 4, then 8 ticks between attempts.
-const (
-	maxRetryExp     = 4
-	maxBackoffTicks = 8
-)
-
 // Config assembles an operator.
 type Config struct {
 	// Game fixes the update model, resource profile, and latency
@@ -60,12 +56,6 @@ type Config struct {
 	Matcher *ecosystem.Matcher
 	// SafetyMargin inflates forecasts before requesting (0 = exact).
 	SafetyMargin float64
-	// FailoverCooldownTicks rate-limits failover re-acquisitions (storm
-	// control): after a failover, further failovers landing within the
-	// cooldown are parked and retried after a short deterministic jitter
-	// instead of stampeding the surviving centers alongside every other
-	// operator hit by the same correlated outage. 0 disables the limit.
-	FailoverCooldownTicks int
 	// Tick is the monitoring interval; defaults to two minutes.
 	Tick time.Duration
 	// Obs, when non-nil, streams the operator's telemetry (Observe
@@ -77,10 +67,11 @@ type Config struct {
 
 // Operator runs the predict→demand→lease cycle for one game.
 type Operator struct {
-	cfg    Config
-	zones  *predict.ZoneSet
-	leases []*datacenter.Lease
-	ticks  int
+	cfg   Config
+	zones *predict.ZoneSet
+	// book is the game's lease book and rejection backoff.
+	book  provision.Ledger
+	ticks int
 	// running totals for Metrics.
 	shortfallSum float64
 	overSum      float64
@@ -98,16 +89,6 @@ type Operator struct {
 	rejections     int
 	partialGrants  int
 	retries        int
-	// bounded backoff after injected rejections.
-	consecRejects int
-	retryAtTick   int
-	// failover storm control: centers whose loss was parked by the
-	// cooldown, the tick the parked failover retries, and the first
-	// tick a new failover is admitted again.
-	pendingLost       []string
-	failoverAtTick    int
-	nextFailoverOK    int
-	failoversDeferred int
 	// last tick's acquisition activity, for callers (the daemon's
 	// circuit breaker) that attribute grant health to centers.
 	// lastGranted is reused scratch; lastRejected aliases the matcher's
@@ -137,7 +118,15 @@ func New(cfg Config) (*Operator, error) {
 	if cfg.Tick == 0 {
 		cfg.Tick = 2 * time.Minute
 	}
-	return &Operator{cfg: cfg, oo: newOpObs(cfg.Obs, cfg.Game.Name)}, nil
+	return &Operator{
+		cfg: cfg,
+		book: provision.Ledger{
+			Tag:           cfg.Game.Name,
+			Origin:        cfg.Origin,
+			MaxDistanceKm: cfg.Game.LatencyKm,
+		},
+		oo: newOpObs(cfg.Obs, cfg.Game.Name),
+	}, nil
 }
 
 // Metrics summarizes the operator's run so far.
@@ -162,9 +151,6 @@ type Metrics struct {
 	Rejections    int
 	PartialGrants int
 	Retries       int
-	// FailoversDeferred counts failovers the cooldown parked for a
-	// later, jittered tick instead of serving immediately.
-	FailoversDeferred int
 }
 
 // Observe ingests one monitoring snapshot (per-zone loads at time
@@ -209,7 +195,7 @@ func (o *Operator) ObserveCtx(ctx context.Context, now time.Time, zoneLoads []fl
 		o.cleanBuf = make([]float64, len(zoneLoads))
 	}
 	// This tick starts with no acquisition activity; the early returns
-	// below (satisfied demand, parked failover, backoff) leave it empty.
+	// below (satisfied demand, backoff) leave it empty.
 	o.lastGranted = o.lastGranted[:0]
 	o.lastRejected = nil
 	o.lastDecision = nil
@@ -220,7 +206,6 @@ func (o *Operator) ObserveCtx(ctx context.Context, now time.Time, zoneLoads []fl
 	// every acquire/event span) then hangs off that request.
 	o.oo.beginObserve(start, o.ticks, obs.SpanFromContext(ctx))
 	defer o.oo.observed(start)
-	o.cfg.Matcher.Expire(now)
 
 	// Carry the last observation forward across monitoring dropouts.
 	clean := o.cleanBuf[:0]
@@ -237,9 +222,9 @@ func (o *Operator) ObserveCtx(ctx context.Context, now time.Time, zoneLoads []fl
 
 	// Score the standing allocation against the actual load, noting
 	// leases that died early — their centers failed under us.
-	have, lost := o.activeCPU(now)
-	demand := o.demandFor(clean)
-	load := demand[datacenter.CPU]
+	lost := o.expire(now)
+	have := o.book.Active(now)[datacenter.CPU]
+	load := provision.Vector(o.cfg.Game.DemandForZones(clean))[datacenter.CPU]
 	if load > 0 {
 		o.overSum += (have/load - 1) * 100
 		o.overTicks++
@@ -266,64 +251,26 @@ func (o *Operator) ObserveCtx(ctx context.Context, now time.Time, zoneLoads []fl
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("operator: %w: %w", ErrAcquireAborted, err)
 	}
-	want := o.demandFor(o.lastForecast)
-	want = want.Scale(1 + o.cfg.SafetyMargin)
-	need := want.Sub(o.allocAt(now.Add(o.cfg.Tick))).ClampNonNegative()
-	// A parked failover coming due folds into this tick's exclusions;
-	// until then acquisition is held entirely — re-leasing the gap
-	// immediately would defeat the cooldown the deferral bought.
-	if len(o.pendingLost) > 0 {
-		if o.ticks < o.failoverAtTick {
-			return nil
-		}
-		for _, name := range o.pendingLost {
-			if !containsCenter(lost, name) {
-				lost = append(lost, name)
-			}
-		}
-		o.pendingLost = o.pendingLost[:0]
-	}
+	want := provision.Vector(o.cfg.Game.DemandForZones(o.lastForecast)).Scale(1 + o.cfg.SafetyMargin)
+	need := want.Sub(o.book.At(now.Add(o.cfg.Tick))).ClampNonNegative()
 	if need.IsZero() {
-		o.consecRejects = 0
+		o.book.ResetBackoff()
 		return nil
 	}
 	// Backed off after rejections — but a failover overrides the wait:
 	// capacity just vanished and waiting would compound the outage.
-	if len(lost) == 0 && o.ticks < o.retryAtTick {
+	if len(lost) == 0 && o.book.Waiting(o.ticks) {
 		return nil
 	}
-	// Storm control: a failover inside the cooldown window is parked
-	// and retried after a deterministic jitter.
-	if len(lost) > 0 && o.cfg.FailoverCooldownTicks > 0 && o.ticks < o.nextFailoverOK {
-		for _, name := range lost {
-			if !containsCenter(o.pendingLost, name) {
-				o.pendingLost = append(o.pendingLost, name)
-			}
-		}
-		o.failoverAtTick = o.ticks + 1 + deferJitter(o.cfg.Game.Name, o.ticks)
-		o.failoversDeferred++
-		o.oo.failoverDeferred(o.ticks, o.cfg.Game.Name, o.failoverAtTick)
-		return nil
-	}
-	if o.consecRejects > 0 {
+	if o.book.Retrying() {
 		o.retries++
 		o.oo.retried(o.ticks, o.cfg.Game.Name)
 	}
 	acq := o.oo.beginAcquire(o.ticks)
-	leases, unmet, out := o.cfg.Matcher.AllocateDetailed(ecosystem.Request{
-		Tag:           o.cfg.Game.Name,
-		Origin:        o.cfg.Origin,
-		MaxDistanceKm: o.cfg.Game.LatencyKm,
-		Demand:        need,
-		Exclude:       lost,
-	}, now)
+	leases, _, out := o.book.Acquire(o.cfg.Matcher, need, lost, now, o.ticks)
 	acq.SetValue(float64(len(leases)))
 	acq.End()
-	if out.Decision != nil {
-		out.Decision.Tick = o.ticks
-		o.lastDecision = out.Decision
-	}
-	o.leases = append(o.leases, leases...)
+	o.lastDecision = out.Decision
 	for _, l := range leases {
 		o.lastGranted = append(o.lastGranted, l.Center.Name)
 	}
@@ -333,21 +280,6 @@ func (o *Operator) ObserveCtx(ctx context.Context, now time.Time, zoneLoads []fl
 	o.oo.acquired(o.ticks, o.cfg.Game.Name, leases, out, lost)
 	if len(lost) > 0 {
 		o.failovers++
-		if o.cfg.FailoverCooldownTicks > 0 {
-			o.nextFailoverOK = o.ticks + o.cfg.FailoverCooldownTicks
-		}
-	}
-	if out.Rejections > 0 && !unmet.IsZero() {
-		if o.consecRejects < maxRetryExp {
-			o.consecRejects++
-		}
-		backoff := 1 << (o.consecRejects - 1)
-		if backoff > maxBackoffTicks {
-			backoff = maxBackoffTicks
-		}
-		o.retryAtTick = o.ticks + backoff
-	} else {
-		o.consecRejects = 0
 	}
 	return nil
 }
@@ -376,12 +308,11 @@ func (o *Operator) LastDecision() *ecosystem.Decision { return o.lastDecision }
 func (o *Operator) Metrics() Metrics {
 	m := Metrics{
 		Ticks: o.ticks, Events: o.events,
-		DroppedSamples:    o.droppedSamples,
-		Failovers:         o.failovers,
-		Rejections:        o.rejections,
-		PartialGrants:     o.partialGrants,
-		Retries:           o.retries,
-		FailoversDeferred: o.failoversDeferred,
+		DroppedSamples: o.droppedSamples,
+		Failovers:      o.failovers,
+		Rejections:     o.rejections,
+		PartialGrants:  o.partialGrants,
+		Retries:        o.retries,
 	}
 	if o.overTicks > 0 {
 		m.AvgOverPct = o.overSum / float64(o.overTicks)
@@ -392,73 +323,26 @@ func (o *Operator) Metrics() Metrics {
 	return m
 }
 
-// containsCenter reports whether name is in the (tiny) list.
-func containsCenter(list []string, name string) bool {
-	for _, n := range list {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
-// deferJitter spreads deferred failovers over 0–3 extra ticks with a
-// stateless SplitMix64-style hash of (game, tick): deterministic for
-// replay and checkpoint equivalence, yet desynchronized across the
-// operators a correlated outage hits at once.
-func deferJitter(game string, tick int) int {
-	h := uint64(1469598103934665603)
-	for i := 0; i < len(game); i++ {
-		h = (h ^ uint64(game[i])) * 1099511628211
-	}
-	h ^= uint64(tick) * 0xbf58476d1ce4e5b9
-	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-	h ^= h >> 31
-	return int(h & 3)
-}
-
-// demandFor converts per-zone loads into the total resource demand.
-func (o *Operator) demandFor(zoneLoads []float64) datacenter.Vector {
-	d := o.cfg.Game.DemandForZones(zoneLoads)
-	var v datacenter.Vector
-	v[datacenter.CPU] = d.CPU
-	v[datacenter.Memory] = d.Memory
-	v[datacenter.ExtNetIn] = d.ExtNetIn
-	v[datacenter.ExtNetOut] = d.ExtNetOut
-	return v
-}
-
-// activeCPU sums the live leases' CPU at now, pruning dead ones. A
-// lease that is gone before its expiry was released by a center
-// failure; the second return lists those centers (each once) so the
-// re-acquisition can route around them.
-func (o *Operator) activeCPU(now time.Time) (float64, []string) {
-	var sum float64
+// expire releases the operator's own leases that ended by now and
+// returns the centers (each once) of leases that vanished before their
+// expiry: a center failure released them, so the re-acquisition routes
+// around those centers. It touches no other game's leases — games
+// sharing a matcher advance separate clocks, and expiring the whole
+// ecosystem on this one would release a lagging game's leases early.
+func (o *Operator) expire(now time.Time) []string {
 	var lost []string
-	live := o.leases[:0]
-	for _, l := range o.leases {
-		if l.Active(now) {
-			sum += l.Alloc[datacenter.CPU]
-			live = append(live, l)
-			continue
-		}
-		if now.Before(l.Expires) && !now.Before(l.Start) && l.Center != nil {
-			name := l.Center.Name
-			seen := false
-			for _, n := range lost {
-				if n == name {
-					seen = true
-					break
-				}
+	for _, l := range o.book.Leases {
+		switch {
+		case !l.Released():
+			if !now.Before(l.Expires) {
+				l.Center.Release(l)
 			}
-			if !seen {
-				lost = append(lost, name)
-			}
+		case now.Before(l.Expires) && !now.Before(l.Start) && l.Center != nil &&
+			!slices.Contains(lost, l.Center.Name):
+			lost = append(lost, l.Center.Name)
 		}
 	}
-	o.leases = live
-	return sum, lost
+	return lost
 }
 
 // ZoneCount returns the number of monitored zones (fixed by the first
@@ -484,7 +368,7 @@ type LeaseView struct {
 // order. The returned slice is freshly allocated.
 func (o *Operator) LeaseViews(now time.Time) []LeaseView {
 	var out []LeaseView
-	for _, l := range o.leases {
+	for _, l := range o.book.Leases {
 		if l.Active(now) && l.Center != nil {
 			out = append(out, LeaseView{
 				Center:  l.Center.Name,
@@ -495,16 +379,4 @@ func (o *Operator) LeaseViews(now time.Time) []LeaseView {
 		}
 	}
 	return out
-}
-
-// allocAt sums leases still active at t, without pruning (the renewal
-// check of the acquire phase).
-func (o *Operator) allocAt(t time.Time) datacenter.Vector {
-	var sum datacenter.Vector
-	for _, l := range o.leases {
-		if l.Active(t) {
-			sum = sum.Add(l.Alloc)
-		}
-	}
-	return sum
 }

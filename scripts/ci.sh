@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
-# CI entry point — equivalent to `make ci` for environments without
-# make. Keeps the race detector on the full suite so the parallel
-# per-zone engine in internal/core is re-proven on every PR.
+# CI entry point; `make ci` runs this script. Keeps the race detector
+# on the full suite so the parallel per-zone engine in internal/core is
+# re-proven on every PR.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -12,6 +12,11 @@ go test -race ./...
 # Re-run the suite with a shuffled test order (fixed seed so a failure
 # reproduces): tests must not depend on the order they are declared in.
 go test -shuffle 1 ./...
+
+# Fuzz the operator checkpoint decoder for a minute: untrusted bytes
+# must yield an error, never a panic. A finding lands in
+# internal/operator/testdata/fuzz and fails the run.
+go test -run '^$' -fuzz '^FuzzFromSnapshot$' -fuzztime 60s ./internal/operator/
 
 # Gated benchmark snapshot: runs the CoreRun/Checkpoint/ObsOverhead
 # benchmarks (so they always stay runnable), refreshes BENCH_core.json,
@@ -26,24 +31,9 @@ sh scripts/bench_json.sh
 # checks must pass.
 sh scripts/chaos_smoke.sh
 
-# Crash-recovery smoke under the race detector: run to a deterministic
-# "crash" (-stop-after-tick) with checkpointing on, resume over the
-# checkpoint directory, and require the resumed stdout to be
-# byte-identical to an uninterrupted run's — metrics continuity across
-# the kill, end to end.
-d=$(mktemp -d)
-go run -race ./cmd/mmogsim -days 1 -predictor movingavg -fault-dropout 0.02 \
-	> "$d/ref.out"
-go run -race ./cmd/mmogsim -days 1 -predictor movingavg -fault-dropout 0.02 \
-	-checkpoint-dir "$d/ckpt" -checkpoint-every 100 -stop-after-tick 400 \
-	> "$d/stop.out" 2> "$d/stop.err"
-test ! -s "$d/stop.out"
-go run -race ./cmd/mmogsim -days 1 -predictor movingavg -fault-dropout 0.02 \
-	-checkpoint-dir "$d/ckpt" -checkpoint-every 100 \
-	> "$d/resume.out" 2> "$d/resume.err"
-grep -q 'resumed from checkpoint at tick 400' "$d/resume.err"
-cmp "$d/ref.out" "$d/resume.out"
-rm -rf "$d"
+# Crash-recovery smoke: a run killed at a fixed tick and resumed from
+# its checkpoints must print byte-identically to an uninterrupted one.
+sh scripts/recovery_smoke.sh
 
 # Observability smoke: scrape /metrics and /debug/pprof from a live
 # run, byte-diff obs-on stdout against obs-off (write-only telemetry
