@@ -53,6 +53,9 @@ type engineState struct {
 	// impairment episode instead of restarting its clock.
 	brownoutActive *bool
 	capLossStart   *int
+	// usage holds the live AllocatedByRegion accumulators (nil when the
+	// run does not track them per tick).
+	usage *regionUsage
 }
 
 // snapshot serializes the state after tick doneTick completed.
@@ -175,8 +178,8 @@ func (s *engineState) snapshot(doneTick int) ([]byte, error) {
 		for _, name := range z.pendingLost {
 			e.Str(name)
 		}
-		refs := make([]int, 0, 2*len(z.Leases))
-		for _, l := range z.Leases {
+		refs := make([]int, 0, 2*len(z.Leases()))
+		for _, l := range z.Leases() {
 			p, ok := leasePos[l]
 			if !ok {
 				// A zone holding a lease absent from every live book can
@@ -207,6 +210,9 @@ func (s *engineState) snapshot(doneTick int) ([]byte, error) {
 
 	e.Bool(s.cfg.TrackCenters)
 	if s.cfg.TrackCenters {
+		if s.usage != nil {
+			s.usage.flush(s.res.CenterStats)
+		}
 		for _, c := range s.cfg.Centers {
 			cs := s.res.CenterStats[c.Name]
 			e.F64(cs.AvgAllocatedCPU)
@@ -404,13 +410,13 @@ func (s *engineState) restore(payload []byte) (int, error) {
 		if len(refs)%2 != 0 {
 			return 0, fmt.Errorf("core: resume: zone %s has a dangling lease reference", z.Tag)
 		}
-		z.Leases = z.Leases[:0]
+		// The zone's book is empty: restore runs over fresh run state.
 		for k := 0; k+1 < len(refs); k += 2 {
 			ci, pos := refs[k], refs[k+1]
 			if ci < 0 || ci >= len(books) || pos < 0 || pos >= len(books[ci]) {
 				return 0, fmt.Errorf("core: resume: zone %s references lease (%d,%d) outside the books", z.Tag, ci, pos)
 			}
-			z.Leases = append(z.Leases, books[ci][pos])
+			z.Hold(books[ci][pos])
 		}
 	}
 
@@ -446,6 +452,9 @@ func (s *engineState) restore(payload []byte) (int, error) {
 				name := d.Str()
 				cs.AllocatedByRegion[name] = d.F64()
 			}
+		}
+		if s.usage != nil {
+			s.usage.load(s.res.CenterStats)
 		}
 	}
 	if err := d.Close(); err != nil {

@@ -221,6 +221,81 @@ type CenterStats struct {
 	AllocatedByRegion map[string]float64
 }
 
+// regionUsage accumulates CenterStats.AllocatedByRegion in a dense
+// center x region table, so the per-tick walk over every live lease
+// does no string-keyed map work. Each cell receives the same additions
+// in the same order as the map entry it stands for, and a cell added
+// to at all (even +0) stands for a present key; flush writes the cells
+// into the maps, load reads them back after a checkpoint restore.
+type regionUsage struct {
+	// row maps a center to its row; centers sharing a name share one.
+	row     map[*datacenter.Center]int
+	centers []string
+	regions []string
+	cpu     []float64
+	set     []bool
+}
+
+// newRegionUsage builds the table over the centers and the zones'
+// regions, and points each zone at its region's column.
+func newRegionUsage(centers []*datacenter.Center, zones []zoneState) *regionUsage {
+	u := &regionUsage{row: make(map[*datacenter.Center]int, len(centers))}
+	rowOf := map[string]int{}
+	for _, c := range centers {
+		r, ok := rowOf[c.Name]
+		if !ok {
+			r = len(u.centers)
+			rowOf[c.Name] = r
+			u.centers = append(u.centers, c.Name)
+		}
+		u.row[c] = r
+	}
+	colOf := map[string]int{}
+	for i := range zones {
+		z := &zones[i]
+		col, ok := colOf[z.region.Name]
+		if !ok {
+			col = len(u.regions)
+			colOf[z.region.Name] = col
+			u.regions = append(u.regions, z.region.Name)
+		}
+		z.regionCol = col
+	}
+	u.cpu = make([]float64, len(u.centers)*len(u.regions))
+	u.set = make([]bool, len(u.cpu))
+	return u
+}
+
+// add accounts cpu served by c to the region in column col.
+func (u *regionUsage) add(c *datacenter.Center, col int, cpu float64) {
+	i := u.row[c]*len(u.regions) + col
+	u.cpu[i] += cpu
+	u.set[i] = true
+}
+
+// flush writes the table into the stats maps.
+func (u *regionUsage) flush(stats map[string]*CenterStats) {
+	for r, center := range u.centers {
+		m := stats[center].AllocatedByRegion
+		for col, region := range u.regions {
+			if i := r*len(u.regions) + col; u.set[i] {
+				m[region] = u.cpu[i]
+			}
+		}
+	}
+}
+
+// load reads the table back from the stats maps.
+func (u *regionUsage) load(stats map[string]*CenterStats) {
+	for r, center := range u.centers {
+		m := stats[center].AllocatedByRegion
+		for col, region := range u.regions {
+			i := r*len(u.regions) + col
+			u.cpu[i], u.set[i] = m[region]
+		}
+	}
+}
+
 // zoneState tracks one server group during the simulation. The run
 // holds all zones in one flat value slice, indexed by idx — the
 // per-tick phases walk them by index, so zone state, partials, and
@@ -230,9 +305,11 @@ type zoneState struct {
 	// is the zone's request/accounting tag ("game/group"), built once
 	// at construction — the tick loop must never format it.
 	provision.Ledger
-	game      *mmog.Game
-	group     *trace.Group
-	region    trace.Region
+	game   *mmog.Game
+	group  *trace.Group
+	region trace.Region
+	// regionCol is the region's column in the run's regionUsage.
+	regionCol int
 	predictor predict.Predictor
 	// idx is the zone's position in the canonical zone order — the
 	// index of its slot in the per-tick partials.
@@ -456,9 +533,13 @@ func Run(cfg Config) (*Result, error) {
 		matcher.SetDecisionLog(ecosystem.NewDecisionLog(cfg.Provenance))
 	}
 	res := &Result{CenterStats: map[string]*CenterStats{}}
+	var usage *regionUsage
 	if cfg.TrackCenters {
 		for _, c := range cfg.Centers {
 			res.CenterStats[c.Name] = &CenterStats{AllocatedByRegion: map[string]float64{}}
+		}
+		if !cfg.Static {
+			usage = newRegionUsage(cfg.Centers, zones)
 		}
 	}
 	// The per-tick series are appended to once per scored tick;
@@ -615,6 +696,7 @@ func Run(cfg Config) (*Result, error) {
 		gameNames: gameNameList, gameUnder: gameUnderSum,
 		tracker: tracker, plan: plan, samples: samples,
 		brownoutActive: &brownoutActive, capLossStart: &capLossStart,
+		usage: usage,
 	}
 	var ckptMgr *checkpoint.Manager
 	ckptEvery := cfg.CheckpointEveryTicks
@@ -887,12 +969,12 @@ func Run(cfg Config) (*Result, error) {
 				cs.AvgAllocatedCPU += c.Allocated()[datacenter.CPU]
 				cs.AvgFreeCPU += c.Free()[datacenter.CPU]
 			}
+			// The observe phase's Active(now) left exactly the leases
+			// active at now in every book.
 			for i := range zones {
 				z := &zones[i]
-				for _, l := range z.Leases {
-					if l.Active(now) {
-						res.CenterStats[l.Center.Name].AllocatedByRegion[z.region.Name] += l.Alloc[datacenter.CPU]
-					}
+				for _, l := range z.Leases() {
+					usage.add(l.Center, z.regionCol, l.Alloc[datacenter.CPU])
 				}
 			}
 		}
@@ -953,13 +1035,7 @@ func Run(cfg Config) (*Result, error) {
 						continue
 					}
 					zoneShed[zi] = true
-					released := 0
-					for _, l := range z.Leases {
-						if !l.Released() && l.Center.Release(l) {
-							released++
-						}
-					}
-					z.Leases = z.Leases[:0]
+					released := z.ReleaseAll()
 					if released > 0 || z.lastObs > 0 {
 						resil.ShedLeases += released
 						resil.ShedPlayerTicks += z.lastObs
@@ -1107,6 +1183,9 @@ func Run(cfg Config) (*Result, error) {
 		res.AvgUnderPct[r] = underSum[r] / float64(res.Ticks)
 	}
 	if cfg.TrackCenters {
+		if usage != nil {
+			usage.flush(res.CenterStats)
+		}
 		for _, cs := range res.CenterStats {
 			cs.AvgAllocatedCPU /= float64(res.Ticks)
 			cs.AvgFreeCPU /= float64(res.Ticks)

@@ -10,6 +10,20 @@
 // Resources are measured in the paper's abstract units: 1.0 unit of a
 // resource is what a fully loaded game server consumes (for external
 // outward bandwidth, 3 MB/s).
+//
+// Ordering invariants. A center keeps its live leases in acquisition
+// order, the order that fixes both the float summation of its
+// allocation and newest-first shedding. Every lease of a center shares
+// its TimeBulk, so under a clock that never runs backwards the list is
+// also in expiry order, and Expire releases a prefix of it instead of
+// scanning the whole book. A lease that arrives with an earlier expiry
+// than the current tail (an adopted checkpoint lease, an activated
+// reservation, or two requesters on separate clocks) marks the list
+// unordered, and Expire scans until the list is ordered again. Either
+// way leases are released in list order, so the allocation is updated
+// by the same float operations. Every release path goes through one
+// function, which tells the lease's Holder (see provision.Ledger,
+// whose cached sums depend on hearing about every release).
 package datacenter
 
 import (
@@ -180,6 +194,26 @@ type Lease struct {
 	// Tag carries the requester's identifier (e.g. zone name).
 	Tag      string
 	released bool
+	holder   Holder
+}
+
+// Holder is told when a lease it holds is released, whichever path
+// released it: expiry, a center failure, degradation shedding, an
+// explicit Release or a reservation that lapsed unobserved.
+type Holder interface {
+	LeaseReleased(l *Lease)
+}
+
+// SetHolder makes h the one holder told about l's release.
+func (l *Lease) SetHolder(h Holder) { l.holder = h }
+
+// release is the one place a lease is released: it marks the lease
+// and tells its holder.
+func (l *Lease) release() {
+	l.released = true
+	if l.holder != nil {
+		l.holder.LeaseReleased(l)
+	}
 }
 
 // Active reports whether the lease holds resources at time t.
@@ -212,6 +246,12 @@ type Center struct {
 	capacity  Vector
 	allocated Vector
 	leases    []*Lease
+	// base is leases' backing array from its start: expiry pops leases
+	// off the front, and push moves the book back down before growing.
+	base []*Lease
+	// unordered records that leases is not in Expires order, so Expire
+	// must scan instead of popping the expired prefix.
+	unordered bool
 	reserved  []*Lease
 	prices    PriceTable
 	totalCost float64
@@ -286,18 +326,12 @@ func (c *Center) Expire(t time.Time) int {
 		c.watermark = t
 	}
 	c.activateReservations(t)
-	n := 0
-	live := c.leases[:0]
-	for _, l := range c.leases {
-		if !l.released && !t.Before(l.Expires) {
-			l.released = true
-			c.allocated = c.allocated.Sub(l.Alloc).ClampNonNegative()
-			n++
-			continue
-		}
-		live = append(live, l)
+	var n int
+	if c.unordered {
+		n = c.expireScan(t)
+	} else {
+		n = c.expirePrefix(t)
 	}
-	c.leases = live
 	if len(c.leases) == 0 {
 		// Snap float residue: with no live leases the allocation is
 		// zero by definition, not 1e-16.
@@ -309,6 +343,67 @@ func (c *Center) Expire(t time.Time) int {
 		c.shedToFit()
 	}
 	return n
+}
+
+// expirePrefix releases the leases ended by t from a list in expiry
+// order, where they form a prefix.
+func (c *Center) expirePrefix(t time.Time) int {
+	n := 0
+	for n < len(c.leases) && !t.Before(c.leases[n].Expires) {
+		c.drop(c.leases[n])
+		n++
+	}
+	clear(c.leases[:n])
+	c.leases = c.leases[n:]
+	return n
+}
+
+// expireScan releases the leases ended by t from a list in any order,
+// in list order, and re-checks whether the survivors are in expiry
+// order.
+func (c *Center) expireScan(t time.Time) int {
+	n := 0
+	live := c.leases[:0]
+	c.unordered = false
+	for _, l := range c.leases {
+		if !t.Before(l.Expires) {
+			c.drop(l)
+			n++
+			continue
+		}
+		if len(live) > 0 && l.Expires.Before(live[len(live)-1].Expires) {
+			c.unordered = true
+		}
+		live = append(live, l)
+	}
+	c.leases = live
+	return n
+}
+
+// push appends a live lease to the book, noting when it breaks the
+// book's expiry order.
+func (c *Center) push(l *Lease) {
+	if n := len(c.leases); n == 0 {
+		c.unordered = false
+	} else if l.Expires.Before(c.leases[n-1].Expires) {
+		c.unordered = true
+	}
+	if len(c.leases) == cap(c.leases) && len(c.leases) < cap(c.base) {
+		n := copy(c.base[:cap(c.base)], c.leases)
+		clear(c.base[n:cap(c.base)])
+		c.leases = c.base[:n]
+	}
+	c.leases = append(c.leases, l)
+	if cap(c.leases) > cap(c.base) {
+		c.base = c.leases
+	}
+}
+
+// drop releases a live lease the caller is removing from the book and
+// gives back its resources.
+func (c *Center) drop(l *Lease) {
+	l.release()
+	c.allocated = c.allocated.Sub(l.Alloc).ClampNonNegative()
 }
 
 // ErrInsufficient is returned when a center cannot host a request.
@@ -332,11 +427,11 @@ func (c *Center) Fail() []*Lease {
 	}
 	dropped := make([]*Lease, 0, len(c.leases)+len(c.reserved))
 	for _, l := range c.leases {
-		l.released = true
+		l.release()
 		dropped = append(dropped, l)
 	}
 	for _, l := range c.reserved {
-		l.released = true
+		l.release()
 		dropped = append(dropped, l)
 	}
 	c.leases = c.leases[:0]
@@ -391,8 +486,7 @@ func (c *Center) shedToFit() []*Lease {
 	for len(c.leases) > 0 && !c.allocated.FitsWithin(eff) {
 		l := c.leases[len(c.leases)-1]
 		c.leases = c.leases[:len(c.leases)-1]
-		l.released = true
-		c.allocated = c.allocated.Sub(l.Alloc).ClampNonNegative()
+		c.drop(l)
 		dropped = append(dropped, l)
 	}
 	if len(c.leases) == 0 {
@@ -439,7 +533,7 @@ func (c *Center) Lease(req Vector, now time.Time, tag string) (*Lease, error) {
 		Tag:     tag,
 	}
 	c.allocated = c.allocated.Add(rounded)
-	c.leases = append(c.leases, l)
+	c.push(l)
 	c.totalCost += c.Prices().LeaseCost(l)
 	return l, nil
 }

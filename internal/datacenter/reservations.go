@@ -95,9 +95,9 @@ func (c *Center) activateReservations(now time.Time) {
 		switch {
 		case !now.Before(l.Expires):
 			// Whole window already in the past: nothing to activate.
-			l.released = true
+			l.release()
 		case !now.Before(l.Start):
-			c.leases = append(c.leases, l)
+			c.push(l)
 			c.allocated = c.allocated.Add(l.Alloc)
 		default:
 			pending = append(pending, l)

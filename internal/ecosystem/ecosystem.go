@@ -15,6 +15,7 @@
 package ecosystem
 
 import (
+	"math"
 	"slices"
 	"time"
 
@@ -71,10 +72,15 @@ type Outcome struct {
 // Matcher allocates requests across a set of data centers. A Matcher
 // is not safe for concurrent use: Allocate mutates center lease books
 // and reuses internal candidate scratch across calls (each simulation
-// run owns its matcher exclusively).
+// run owns its matcher exclusively). The centers' Name, Location and
+// Policy must not change once the matcher is built: the per-origin
+// routes cache what they imply.
 type Matcher struct {
 	centers []*datacenter.Center
 	faults  GrantFaults
+	// routes caches one route per request origin, keyed by the bits of
+	// its coordinates.
+	routes map[[2]uint64]*route
 	// cands and rejected are scratch reused by AllocateDetailed so the
 	// per-tick acquire walk does not allocate in steady state.
 	cands    []candidate
@@ -131,6 +137,46 @@ type candidate struct {
 	distKm float64
 }
 
+// maxRoutes bounds the route cache; a matcher asked from more distinct
+// origins starts the cache over.
+const maxRoutes = 1024
+
+// route is what the matching walk needs to know about one origin: the
+// distance to every center, in center order, and the centers in
+// preference order. A center at a NaN distance is admitted by no
+// latency bound and has no place in the order.
+type route struct {
+	distKm []float64
+	order  []candidate
+}
+
+// route returns the cached route from origin, building it on first
+// use.
+func (m *Matcher) route(origin geo.Point) *route {
+	key := [2]uint64{math.Float64bits(origin.LatDeg), math.Float64bits(origin.LonDeg)}
+	if r, ok := m.routes[key]; ok {
+		return r
+	}
+	if m.routes == nil || len(m.routes) >= maxRoutes {
+		m.routes = make(map[[2]uint64]*route)
+	}
+	r := &route{distKm: make([]float64, len(m.centers))}
+	for i, c := range m.centers {
+		d := geo.DistanceKm(origin, c.Location)
+		r.distKm[i] = d
+		if !math.IsNaN(d) {
+			r.order = append(r.order, candidate{center: c, distKm: d})
+		}
+	}
+	// Preference: finer resource grain, then shorter time bulk, then
+	// closer center, then name. The name tie-break makes the order
+	// total, so filtering this order yields the order of sorting the
+	// filtered set.
+	slices.SortStableFunc(r.order, compareCandidates)
+	m.routes[key] = r
+	return r
+}
+
 // compareCandidates orders candidates by the matching preference:
 // finer resource grain, then shorter time bulk, then closer center,
 // then name (a unique key, making the order total).
@@ -180,11 +226,10 @@ func (m *Matcher) Allocate(req Request, now time.Time) ([]*datacenter.Lease, dat
 // callers implementing retry/backoff need to distinguish an injected
 // rejection (worth retrying later) from genuine capacity exhaustion.
 func (m *Matcher) AllocateDetailed(req Request, now time.Time) ([]*datacenter.Lease, datacenter.Vector, Outcome) {
-	var out Outcome
 	m.rejected = m.rejected[:0]
 	remaining := req.Demand.ClampNonNegative()
 	if remaining.IsZero() {
-		return nil, datacenter.Vector{}, out
+		return nil, datacenter.Vector{}, Outcome{}
 	}
 
 	// Provenance: one Decision per non-trivial call. Centers filtered
@@ -198,37 +243,42 @@ func (m *Matcher) AllocateDetailed(req Request, now time.Time) ([]*datacenter.Le
 		m.log.scratch = m.log.scratch[:0]
 	}
 
-	cands := m.cands[:0]
-	for _, c := range m.centers {
-		if excluded(req.Exclude, c.Name) {
-			if dec != nil {
-				m.log.scratch = append(m.log.scratch, CandidateVerdict{
-					Center:      c.Name,
-					DistKm:      geo.DistanceKm(req.Origin, c.Location),
-					Disposition: DispExcludedByFailover,
-				})
+	// The route's preference order, filtered by the request, is the
+	// walk order; the centers filtered out get their verdicts in
+	// center order.
+	r := m.route(req.Origin)
+	if dec != nil {
+		for i, c := range m.centers {
+			disp := DispExcludedByFailover
+			switch {
+			case excluded(req.Exclude, c.Name):
+			case !(r.distKm[i] <= req.MaxDistanceKm):
+				disp = DispOutOfLatencyClass
+			default:
+				continue
 			}
-			continue
-		}
-		d := geo.DistanceKm(req.Origin, c.Location)
-		if d <= req.MaxDistanceKm {
-			cands = append(cands, candidate{center: c, distKm: d})
-		} else if dec != nil {
 			m.log.scratch = append(m.log.scratch, CandidateVerdict{
 				Center:      c.Name,
-				DistKm:      d,
-				Disposition: DispOutOfLatencyClass,
+				DistKm:      r.distKm[i],
+				Disposition: disp,
 			})
 		}
 	}
+	cands := m.cands[:0]
+	for _, cand := range r.order {
+		if cand.distKm <= req.MaxDistanceKm && !excluded(req.Exclude, cand.center.Name) {
+			cands = append(cands, cand)
+		}
+	}
 	m.cands = cands
-	// Preference: finer resource grain, then shorter time bulk, then
-	// closer center, then name for determinism. The name tie-break
-	// makes the order total, so any correct sort yields the same
-	// permutation; SortFunc with a static comparator avoids the
-	// reflection and closure allocations of sort.Slice.
-	slices.SortFunc(cands, compareCandidates)
+	return m.walk(req, now, cands, remaining, dec)
+}
 
+// walk leases remaining from the admitted candidates in preference
+// order and completes the provenance record, whose filtered centers
+// wait in the log's scratch.
+func (m *Matcher) walk(req Request, now time.Time, cands []candidate, remaining datacenter.Vector, dec *Decision) ([]*datacenter.Lease, datacenter.Vector, Outcome) {
+	var out Outcome
 	var leases []*datacenter.Lease
 	for i, cand := range cands {
 		if remaining.IsZero() {

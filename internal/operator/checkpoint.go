@@ -54,13 +54,13 @@ func (o *Operator) Snapshot() ([]byte, error) {
 	e.Int(o.retries)
 	o.book.EncodeBackoff(e)
 	live := 0
-	for _, l := range o.book.Leases {
+	for _, l := range o.book.Leases() {
 		if !l.Released() {
 			live++
 		}
 	}
 	e.Int(live)
-	for _, l := range o.book.Leases {
+	for _, l := range o.book.Leases() {
 		if l.Released() {
 			continue // tombstones are transient failover hints, not state
 		}
@@ -204,7 +204,7 @@ func FromSnapshot(cfg Config, payload []byte) (*Operator, *Reconciliation, error
 		}
 		if adopted != nil {
 			claimed[adopted] = true
-			o.book.Leases = append(o.book.Leases, adopted)
+			o.book.Hold(adopted)
 			rec.Adopted++
 			continue
 		}
@@ -212,7 +212,7 @@ func FromSnapshot(cfg Config, payload []byte) (*Operator, *Reconciliation, error
 		// operator was down (or the center left the configuration). A
 		// tombstone makes the loss visible to the first Observe, which
 		// fails the capacity over away from that center.
-		o.book.Leases = append(o.book.Leases, datacenter.Tombstone(c, r.alloc, r.start, r.until, r.tag))
+		o.book.Hold(datacenter.Tombstone(c, r.alloc, r.start, r.until, r.tag))
 		rec.Lost++
 	}
 	// Leases the ecosystem holds under this game's tag that the
@@ -252,12 +252,7 @@ func Restore(cfg Config, r io.Reader) (*Operator, *Reconciliation, error) {
 // that checkpoint resumes the forecasting state with an empty lease
 // book — exactly what a clean stop left behind.
 func (o *Operator) Shutdown(w io.Writer) error {
-	for _, l := range o.book.Leases {
-		if !l.Released() && l.Center != nil {
-			l.Center.Release(l)
-		}
-	}
-	o.book.Leases = o.book.Leases[:0]
+	o.book.ReleaseAll()
 	if w == nil {
 		return nil
 	}

@@ -26,7 +26,7 @@ func TestObserveRejectsZoneCountMismatchBeforeSideEffects(t *testing.T) {
 	}
 	before := op.Metrics()
 	beforeLoads := append([]float64(nil), op.lastLoads...)
-	beforeLeases := len(op.book.Leases)
+	beforeLeases := len(op.book.Leases())
 	for _, bad := range [][]float64{{800}, {800, 600, 400}, nil} {
 		if err := op.Observe(t0.Add(2*time.Minute), bad); err == nil {
 			t.Fatalf("zone count %d accepted (want 2)", len(bad))
@@ -38,7 +38,7 @@ func TestObserveRejectsZoneCountMismatchBeforeSideEffects(t *testing.T) {
 	if !reflect.DeepEqual(op.lastLoads, beforeLoads) {
 		t.Fatalf("rejected snapshots mutated LOCF buffer: %v", op.lastLoads)
 	}
-	if len(op.book.Leases) != beforeLeases {
+	if len(op.book.Leases()) != beforeLeases {
 		t.Fatal("rejected snapshots mutated the lease book")
 	}
 	// A valid snapshot still works afterwards.
@@ -313,7 +313,7 @@ func TestShutdownReleasesLeasesAndFlushesCheckpoint(t *testing.T) {
 	if restored.Metrics().Ticks != ticksBefore {
 		t.Fatalf("restored ticks = %d, want %d", restored.Metrics().Ticks, ticksBefore)
 	}
-	if len(restored.book.Leases) != 0 {
+	if len(restored.book.Leases()) != 0 {
 		t.Fatal("clean-shutdown checkpoint restored a lease book")
 	}
 }

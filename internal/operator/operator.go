@@ -331,7 +331,7 @@ func (o *Operator) Metrics() Metrics {
 // ecosystem on this one would release a lagging game's leases early.
 func (o *Operator) expire(now time.Time) []string {
 	var lost []string
-	for _, l := range o.book.Leases {
+	for _, l := range o.book.Leases() {
 		switch {
 		case !l.Released():
 			if !now.Before(l.Expires) {
@@ -368,7 +368,7 @@ type LeaseView struct {
 // order. The returned slice is freshly allocated.
 func (o *Operator) LeaseViews(now time.Time) []LeaseView {
 	var out []LeaseView
-	for _, l := range o.book.Leases {
+	for _, l := range o.book.Leases() {
 		if l.Active(now) && l.Center != nil {
 			out = append(out, LeaseView{
 				Center:  l.Center.Name,

@@ -56,7 +56,7 @@ func TestBackoffDoublesToCapAndRoundTrips(t *testing.T) {
 	if leases, unmet, _ := b.Acquire(m, need, nil, now, tick); len(leases) == 0 || !unmet.IsZero() {
 		t.Fatalf("uncontended acquisition: %d leases, unmet %v", len(leases), unmet)
 	}
-	if b.Retrying() || len(b.Leases) == 0 {
+	if b.Retrying() || len(b.Leases()) == 0 {
 		t.Fatal("a served acquisition kept the backoff or dropped its grant")
 	}
 	if got := b.At(now)[datacenter.CPU]; got != 2 {
