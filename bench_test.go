@@ -17,11 +17,9 @@ import (
 	"mmogdc/internal/emulator"
 	"mmogdc/internal/experiments"
 	"mmogdc/internal/mmog"
-	"mmogdc/internal/neural"
 	"mmogdc/internal/obs"
 	"mmogdc/internal/predict"
 	"mmogdc/internal/trace"
-	"mmogdc/internal/xrand"
 )
 
 // benchOpts is the reduced-scale configuration used by the
@@ -245,25 +243,28 @@ func BenchmarkEmulatorDay(b *testing.B) {
 	}
 }
 
-func BenchmarkMLPTrainingEra(b *testing.B) {
-	r := xrand.New(1)
-	m, err := neural.NewMLP(r, 6, 3, 1)
-	if err != nil {
-		b.Fatal(err)
+// BenchmarkPretrainShared is the offline pretraining layer on the
+// input sim-paper pretrains on, scaled down: a one-day shadow trace's
+// 125 group signals, sample build included, and eight shuffled eras
+// with patience high enough that every iteration runs all eight. It
+// pins GOMAXPROCS to parallelProcs, because Fit shuffles the next era
+// on a helper goroutine while it trains the current one.
+func BenchmarkPretrainShared(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(parallelProcs))
+	shadow := trace.Generate(trace.Config{Seed: 43, Days: 1})
+	collected := make([][]float64, len(shadow.Groups))
+	for i, g := range shadow.Groups {
+		collected[i] = g.Load.Values
 	}
-	samples := make([]neural.Sample, 720)
-	for i := range samples {
-		in := make([]float64, 6)
-		for j := range in {
-			in[j] = r.Float64()
-		}
-		samples[i] = neural.Sample{In: in, Target: []float64{r.Float64()}}
-	}
+	tc := predict.PaperTrainConfig(44)
+	tc.MaxEras = 8
+	tc.Patience = tc.MaxEras
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, s := range samples {
-			m.Train(s.In, s.Target, 0.01, 0.5)
+		_, res := predict.PretrainShared(predict.PaperNeuralConfig(45), collected, 0.8, tc)
+		if res.Eras != tc.MaxEras {
+			b.Fatalf("trained %d eras, want %d", res.Eras, tc.MaxEras)
 		}
 	}
 }

@@ -13,15 +13,15 @@ func ExampleMLP_Fit() {
 	net, _ := neural.NewMLP(xrand.New(1), 2, 4, 1)
 
 	// A toy target: y = average of the two inputs.
-	var train, test []neural.Sample
+	train := neural.Samples{In: 2, Out: 1}
+	test := neural.Samples{In: 2, Out: 1}
 	for i := 0; i < 64; i++ {
 		x1 := float64(i%8) / 8
 		x2 := float64(i/8) / 8
-		s := neural.Sample{In: []float64{x1, x2}, Target: []float64{(x1 + x2) / 2}}
 		if i%5 == 0 {
-			test = append(test, s)
+			test.Rows = append(test.Rows, x1, x2, (x1+x2)/2)
 		} else {
-			train = append(train, s)
+			train.Rows = append(train.Rows, x1, x2, (x1+x2)/2)
 		}
 	}
 

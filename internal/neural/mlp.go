@@ -197,12 +197,6 @@ func (m *MLP) Clone() *MLP {
 	return c
 }
 
-// Sample is one supervised training example.
-type Sample struct {
-	In     []float64
-	Target []float64
-}
-
 // TrainConfig controls offline era-based training.
 type TrainConfig struct {
 	// LearningRate for SGD; defaults to 0.05.
@@ -268,35 +262,39 @@ type TrainResult struct {
 // samples; training stops when the test loss stops improving (the
 // paper's convergence criterion) or MaxEras is reached. With no test
 // samples the train loss is used for the criterion.
-func (m *MLP) Fit(train, test []Sample, cfg TrainConfig) TrainResult {
+//
+// With a ShuffleSeed, train's rows are one of the two buffers the eras
+// are shuffled into, so on return they hold some permutation of their
+// original order.
+func (m *MLP) Fit(train, test Samples, cfg TrainConfig) TrainResult {
 	c := cfg.withDefaults()
 	res := TrainResult{}
-	if len(train) == 0 {
+	n := train.Len()
+	if n == 0 {
 		return res
 	}
-	var shuffler *xrand.Rand
-	order := make([]int, len(train))
-	for i := range order {
-		order[i] = i
-	}
+	var shuffled *eraShuffler
 	if c.ShuffleSeed != 0 {
-		shuffler = xrand.New(c.ShuffleSeed)
+		shuffled = shuffleEras(train, xrand.New(c.ShuffleSeed), c.MaxEras)
+		defer shuffled.stop()
 	}
+	stride := train.In + train.Out
 	best := math.Inf(1)
 	bad := 0
 	for era := 0; era < c.MaxEras; era++ {
-		if shuffler != nil {
-			shuffler.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		rows := train.Rows[:n*stride]
+		if shuffled != nil {
+			rows = shuffled.next()
 		}
 		lr := c.LearningRate / (1 + c.LRDecay*float64(era))
 		var trainLoss float64
-		for _, idx := range order {
-			s := train[idx]
-			trainLoss += m.TrainClipped(s.In, s.Target, lr, c.Momentum, c.ErrorClip)
+		for off := 0; off < len(rows); off += stride {
+			row := rows[off : off+stride]
+			trainLoss += m.TrainClipped(row[:train.In], row[train.In:], lr, c.Momentum, c.ErrorClip)
 		}
-		trainLoss /= float64(len(train))
+		trainLoss /= float64(n)
 		testLoss := trainLoss
-		if len(test) > 0 {
+		if test.Len() > 0 {
 			testLoss = m.Loss(test)
 		}
 		res.Eras = era + 1
@@ -317,17 +315,19 @@ func (m *MLP) Fit(train, test []Sample, cfg TrainConfig) TrainResult {
 }
 
 // Loss returns the mean squared error over the samples.
-func (m *MLP) Loss(samples []Sample) float64 {
-	if len(samples) == 0 {
+func (m *MLP) Loss(samples Samples) float64 {
+	n := samples.Len()
+	if n == 0 {
 		return 0
 	}
 	var total float64
-	for _, s := range samples {
-		out := m.Forward(s.In)
+	for r := 0; r < n; r++ {
+		in, target := samples.Row(r)
+		out := m.Forward(in)
 		for j := range out {
-			d := out[j] - s.Target[j]
+			d := out[j] - target[j]
 			total += d * d
 		}
 	}
-	return total / float64(len(samples))
+	return total / float64(n)
 }

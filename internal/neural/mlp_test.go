@@ -71,20 +71,21 @@ func TestTrainReducesLossOnLinearFunction(t *testing.T) {
 func TestTrainLearnsNonlinearFunction(t *testing.T) {
 	// XOR-like target requires the hidden layer.
 	m, _ := NewMLP(xrand.New(11), 2, 6, 1)
-	data := []Sample{
-		{In: []float64{0, 0}, Target: []float64{0}},
-		{In: []float64{0, 1}, Target: []float64{1}},
-		{In: []float64{1, 0}, Target: []float64{1}},
-		{In: []float64{1, 1}, Target: []float64{0}},
-	}
-	res := m.Fit(data, nil, TrainConfig{LearningRate: 0.1, Momentum: 0.5, MaxEras: 4000, Patience: 4000})
+	data := Samples{In: 2, Out: 1, Rows: []float64{
+		0, 0, 0,
+		0, 1, 1,
+		1, 0, 1,
+		1, 1, 0,
+	}}
+	res := m.Fit(data, Samples{}, TrainConfig{LearningRate: 0.1, Momentum: 0.5, MaxEras: 4000, Patience: 4000})
 	if res.TrainLoss > 0.03 {
 		t.Fatalf("XOR loss after %d eras = %v", res.Eras, res.TrainLoss)
 	}
-	for _, s := range data {
-		out := m.Forward(s.In)[0]
-		if math.Abs(out-s.Target[0]) > 0.3 {
-			t.Errorf("XOR(%v) = %v, want %v", s.In, out, s.Target[0])
+	for r := 0; r < data.Len(); r++ {
+		in, target := data.Row(r)
+		out := m.Forward(in)[0]
+		if math.Abs(out-target[0]) > 0.3 {
+			t.Errorf("XOR(%v) = %v, want %v", in, out, target[0])
 		}
 	}
 }
@@ -103,14 +104,14 @@ func TestFitConvergence(t *testing.T) {
 	// An easy target should trigger the patience-based convergence
 	// criterion well before MaxEras.
 	m, _ := NewMLP(xrand.New(13), 1, 2, 1)
-	var train, test []Sample
+	train := Samples{In: 1, Out: 1}
+	test := Samples{In: 1, Out: 1}
 	for i := 0; i < 32; i++ {
 		x := float64(i) / 32
-		s := Sample{In: []float64{x}, Target: []float64{0.5 * x}}
 		if i%4 == 0 {
-			test = append(test, s)
+			test.Rows = append(test.Rows, x, 0.5*x)
 		} else {
-			train = append(train, s)
+			train.Rows = append(train.Rows, x, 0.5*x)
 		}
 	}
 	res := m.Fit(train, test, TrainConfig{MaxEras: 2000})
@@ -124,7 +125,7 @@ func TestFitConvergence(t *testing.T) {
 
 func TestFitEmptyTrainSet(t *testing.T) {
 	m, _ := NewMLP(xrand.New(1), 1, 1, 1)
-	res := m.Fit(nil, nil, TrainConfig{})
+	res := m.Fit(Samples{}, Samples{}, TrainConfig{})
 	if res.Eras != 0 || res.Converged {
 		t.Fatalf("empty fit result = %+v", res)
 	}
@@ -132,8 +133,8 @@ func TestFitEmptyTrainSet(t *testing.T) {
 
 func TestLossEmpty(t *testing.T) {
 	m, _ := NewMLP(xrand.New(1), 1, 1, 1)
-	if m.Loss(nil) != 0 {
-		t.Fatal("Loss(nil) should be 0")
+	if m.Loss(Samples{}) != 0 {
+		t.Fatal("Loss of no samples should be 0")
 	}
 }
 

@@ -194,32 +194,59 @@ func (p *Neural) Predict() float64 {
 // splits them into training and test sets, and runs era-based training
 // until convergence. It returns the training report.
 func (p *Neural) Pretrain(signal []float64, trainFraction float64, cfg neural.TrainConfig) neural.TrainResult {
+	return p.pretrain([][]float64{signal}, trainFraction, cfg)
+}
+
+// pretrain trains the network on the examples of every collected
+// signal: the first trainFraction of them (0.8 when out of range) are
+// the training set, the rest the test set.
+func (p *Neural) pretrain(collected [][]float64, trainFraction float64, cfg neural.TrainConfig) neural.TrainResult {
+	samples := p.samples(collected)
+	n := samples.Len()
+	if n == 0 {
+		return neural.TrainResult{}
+	}
 	if trainFraction <= 0 || trainFraction > 1 {
 		trainFraction = 0.8
 	}
-	w := p.cfg.Window
-	var samples []neural.Sample
-	for i := 0; i+w < len(signal); i++ {
-		in := make([]float64, w)
-		for j := 0; j < w; j++ {
-			in[j] = p.norm.Norm(signal[i+j])
-		}
-		in = p.pre.Process(in)
-		target := p.norm.Norm(signal[i+w])
-		if !p.cfg.Direct {
-			target -= p.norm.Norm(signal[i+w-1])
-		}
-		samples = append(samples, neural.Sample{
-			In:     in,
-			Target: []float64{target * p.cfg.OutputScale},
-		})
-	}
-	if len(samples) == 0 {
-		return neural.TrainResult{}
-	}
-	split := int(float64(len(samples)) * trainFraction)
+	split := int(float64(n) * trainFraction)
 	if split < 1 {
 		split = 1
 	}
-	return p.net.Fit(samples[:split], samples[split:], cfg)
+	train, test := samples.Split(split)
+	return p.net.Fit(train, test, cfg)
+}
+
+// samples builds one (window -> next sample) example per window of
+// each signal, in signal order, straight into one arena: the
+// normalized window through the preprocessor, then the target the
+// network regresses on (the next value, or in residual mode its change
+// over the window's last one), scaled by OutputScale.
+func (p *Neural) samples(collected [][]float64) neural.Samples {
+	w := p.cfg.Window
+	n := 0
+	for _, signal := range collected {
+		if len(signal) > w {
+			n += len(signal) - w
+		}
+	}
+	samples := neural.NewSamples(w, 1, n)
+	window := make([]float64, w)
+	r := 0
+	for _, signal := range collected {
+		for i := 0; i+w < len(signal); i++ {
+			for j := range window {
+				window[j] = p.norm.Norm(signal[i+j])
+			}
+			in, target := samples.Row(r)
+			p.pre.ProcessInto(in, window)
+			next := p.norm.Norm(signal[i+w])
+			if !p.cfg.Direct {
+				next -= p.norm.Norm(signal[i+w-1])
+			}
+			target[0] = next * p.cfg.OutputScale
+			r++
+		}
+	}
+	return samples
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Machine-readable benchmark snapshot, gated: run the core-engine,
 # checkpoint, observability-overhead and per-layer (lease ledger, center
-# expiry, matcher) benchmarks with -benchmem,
+# expiry, matcher, neural pretraining) benchmarks with -benchmem,
 # condense the output into BENCH_core.json (name -> ns/op, B/op,
 # allocs/op) at the repo root, and fail if the fresh numbers regress
 # more than the tolerance band against the committed snapshot (see
@@ -29,6 +29,8 @@ go test -run '^$' -bench Checkpoint -benchtime 3x -benchmem \
 go test -run '^$' -bench MatcherAllocate -benchmem . >> "$d/bench.out"
 go test -run '^$' -bench LedgerActive -benchmem ./internal/provision/ >> "$d/bench.out"
 go test -run '^$' -bench CenterExpire -benchmem ./internal/datacenter/ >> "$d/bench.out"
+# Offline pretraining: one iteration takes a few hundred milliseconds.
+go test -run '^$' -bench PretrainShared -benchmem . >> "$d/bench.out"
 
 go run ./scripts/benchjson < "$d/bench.out" > "$d/new.json"
 

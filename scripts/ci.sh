@@ -18,8 +18,13 @@ go test -shuffle 1 ./...
 # internal/operator/testdata/fuzz and fails the run.
 go test -run '^$' -fuzz '^FuzzFromSnapshot$' -fuzztime 60s ./internal/operator/
 
+# The same for the neural network's checkpoint: Restore must reject
+# untrusted bytes whole, never panic or leave the network half-restored.
+go test -run '^$' -fuzz '^FuzzMLPRestore$' -fuzztime 60s ./internal/neural/
+
 # Gated benchmark snapshot: runs the CoreRun/Checkpoint/ObsOverhead
-# benchmarks and the per-layer ledger, center-expiry and matcher ones,
+# benchmarks and the per-layer ledger, center-expiry, matcher and
+# pretraining ones,
 # refreshes BENCH_core.json,
 # and fails on a >20% allocs/op or B/op (or >2x ns/op) regression
 # against the committed snapshot (scripts/benchgate). Accept an
