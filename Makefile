@@ -3,8 +3,8 @@
 # the full test suite under the race detector (guarding the parallel
 # per-zone simulation engine in internal/core and the sweep pool in
 # internal/par) and again in shuffled order, a one-minute fuzz of the
-# operator and neural-network checkpoint decoders each, the gated benchmark snapshot
-# (bench-json), which both keeps the BenchmarkCoreRun* variants
+# operator, neural-network and engine checkpoint decoders each, the
+# gated benchmark snapshot (bench-json), which both keeps the BenchmarkCoreRun* variants
 # runnable and fails the build when allocs/op or B/op regress >20% —
 # or ns/op >2x, a wide tripwire because wall-clock on a loaded box is
 # noise — against the committed BENCH_core.json (see

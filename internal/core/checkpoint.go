@@ -6,7 +6,6 @@ import (
 
 	"mmogdc/internal/checkpoint"
 	"mmogdc/internal/datacenter"
-	"mmogdc/internal/faults"
 	"mmogdc/internal/predict"
 )
 
@@ -30,102 +29,74 @@ const corePayloadKind = "mmogdc/core-run@2"
 // Result by design.
 var ErrStopped = fmt.Errorf("core: run stopped after requested tick")
 
-// engineState bundles the live simulation state Run accumulates, so
-// snapshot/restore can reach all of it without threading two dozen
-// parameters.
-type engineState struct {
-	cfg       *Config
-	zones     []zoneState
-	res       *Result
-	overSum   *[datacenter.NumResources]float64
-	underSum  *[datacenter.NumResources]float64
-	overTicks *[datacenter.NumResources]int
-	// gameNames lists the distinct games in workload order; gameUnder
-	// is the flat per-game under-allocation accumulator indexed the
-	// same way (zoneState.gameIdx).
-	gameNames []string
-	gameUnder []float64
-	tracker   *outageTracker
-	plan      *faults.Plan
-	samples   int
-	// brownoutActive and capLossStart point at Run's live brownout /
-	// time-to-full-recovery state, so a resume re-enters an in-progress
-	// impairment episode instead of restarting its clock.
-	brownoutActive *bool
-	capLossStart   *int
-	// usage holds the live AllocatedByRegion accumulators (nil when the
-	// run does not track them per tick).
-	usage *regionUsage
-}
-
 // snapshot serializes the state after tick doneTick completed.
-func (s *engineState) snapshot(doneTick int) ([]byte, error) {
+func (r *run) snapshot(doneTick int) ([]byte, error) {
 	e := checkpoint.NewEnc()
 	e.Str(corePayloadKind)
 	// Fingerprint: a checkpoint resumes only the run it was taken from.
-	e.Int(s.samples)
-	e.Bool(s.cfg.Static)
-	e.Int(len(s.zones))
-	for i := range s.zones {
-		e.Str(s.zones[i].Tag)
+	e.Int(r.samples)
+	e.Bool(r.cfg.Static)
+	e.Int(len(r.zones))
+	for i := range r.zones {
+		e.Str(r.zones[i].Tag)
 	}
-	e.Int(len(s.cfg.Centers))
-	for _, c := range s.cfg.Centers {
+	e.Int(len(r.cfg.Centers))
+	for _, c := range r.cfg.Centers {
 		e.Str(c.Name)
 	}
 
 	e.Int(doneTick)
-	e.Int(s.res.Ticks)
-	e.Int(s.res.Events)
-	e.Int(s.res.Unmet)
-	e.Ints(s.res.CumEvents)
-	e.F64s(s.res.OverPct)
-	e.F64s(s.res.UnderPct)
-	e.F64s(s.overSum[:])
-	e.F64s(s.underSum[:])
-	e.Ints(s.overTicks[:])
+	e.Int(r.res.Ticks)
+	e.Int(r.res.Events)
+	e.Int(r.res.Unmet)
+	e.Ints(r.res.CumEvents)
+	e.F64s(r.res.OverPct)
+	e.F64s(r.res.UnderPct)
+	e.F64s(r.overSum[:])
+	e.F64s(r.underSum[:])
+	e.Ints(r.overTicks[:])
 
 	// Per-game accumulators, sorted by name for a canonical byte
 	// stream (the live accumulator is flat, in workload order).
-	gameIdx := make(map[string]int, len(s.gameNames))
-	names := make([]string, len(s.gameNames))
-	copy(names, s.gameNames)
-	for i, name := range s.gameNames {
+	gameIdx := make(map[string]int, len(r.gameNames))
+	names := make([]string, len(r.gameNames))
+	copy(names, r.gameNames)
+	for i, name := range r.gameNames {
 		gameIdx[name] = i
 	}
 	sort.Strings(names)
 	e.Int(len(names))
 	for _, name := range names {
 		e.Str(name)
-		e.F64(s.gameUnder[gameIdx[name]])
+		e.F64(r.gameUnder[gameIdx[name]])
 	}
 
-	r := s.res.Resilience
-	e.Int(r.Outages)
-	e.Int(r.FullOutages)
-	e.Int(r.PartialOutages)
-	e.Int(r.CapacityRecovered)
-	e.Int(r.ServiceRecovered)
-	e.Int(r.Failovers)
-	e.Int(r.FailoverLeases)
-	e.Int(r.Retries)
-	e.Int(r.Rejections)
-	e.Int(r.PartialGrants)
-	e.Int(r.DroppedSamples)
-	e.F64(r.CapacityLostCPUTicks)
-	e.Int(r.RegionBlackouts)
-	e.Int(r.FailoversDeferred)
-	e.Int(r.BrownoutTicks)
-	e.Int(r.ShedLeases)
-	e.F64(r.ShedPlayerTicks)
-	e.Int(r.TimeToFullRecoveryTicks)
-	for _, c := range s.cfg.Centers {
-		e.F64(r.Availability[c.Name])
+	rs := r.res.Resilience
+	e.Int(rs.Outages)
+	e.Int(rs.FullOutages)
+	e.Int(rs.PartialOutages)
+	e.Int(rs.CapacityRecovered)
+	e.Int(rs.ServiceRecovered)
+	e.Int(rs.Failovers)
+	e.Int(rs.FailoverLeases)
+	e.Int(rs.Retries)
+	e.Int(rs.Rejections)
+	e.Int(rs.PartialGrants)
+	e.Int(rs.DroppedSamples)
+	e.F64(rs.CapacityLostCPUTicks)
+	e.Int(rs.RegionBlackouts)
+	e.Int(rs.FailoversDeferred)
+	e.Int(rs.BrownoutTicks)
+	e.Int(rs.ShedLeases)
+	e.F64(rs.ShedPlayerTicks)
+	e.Int(rs.TimeToFullRecoveryTicks)
+	for _, c := range r.cfg.Centers {
+		e.F64(rs.Availability[c.Name])
 	}
 
-	e.F64(s.tracker.ttrSum)
-	e.Ints(s.tracker.pending)
-	for _, w := range s.tracker.open {
+	e.F64(r.tracker.ttrSum)
+	e.Ints(r.tracker.pending)
+	for _, w := range r.tracker.open {
 		if w == nil {
 			e.Bool(false)
 			continue
@@ -138,7 +109,7 @@ func (s *engineState) snapshot(doneTick int) ([]byte, error) {
 	// Centers: scalar accounting plus the lease book in list order (the
 	// order fixes both float summation and newest-first shedding).
 	leasePos := map[*datacenter.Lease][2]int{}
-	for ci, c := range s.cfg.Centers {
+	for ci, c := range r.cfg.Centers {
 		st := c.CheckpointState()
 		e.F64s(st.Allocated[:])
 		e.F64(st.TotalCost)
@@ -159,8 +130,8 @@ func (s *engineState) snapshot(doneTick int) ([]byte, error) {
 	// Zones: predictor state, LOCF sample, backoff, and the lease list
 	// as (center, position) references into the books above — zone
 	// lease order also fixes float summation order.
-	for i := range s.zones {
-		z := &s.zones[i]
+	for i := range r.zones {
+		z := &r.zones[i]
 		if z.predictor == nil {
 			e.Bool(false)
 		} else {
@@ -196,25 +167,25 @@ func (s *engineState) snapshot(doneTick int) ([]byte, error) {
 		e.Ints(refs)
 	}
 
-	if s.plan == nil {
+	if r.plan == nil {
 		e.Bool(false)
 	} else {
 		e.Bool(true)
-		for _, w := range s.plan.SnapshotGrants() {
+		for _, w := range r.plan.SnapshotGrants() {
 			e.U64(w)
 		}
 	}
 
-	e.Bool(*s.brownoutActive)
-	e.Int(*s.capLossStart)
+	e.Bool(r.brownoutActive)
+	e.Int(r.tracker.capLossStart)
 
-	e.Bool(s.cfg.TrackCenters)
-	if s.cfg.TrackCenters {
-		if s.usage != nil {
-			s.usage.flush(s.res.CenterStats)
+	e.Bool(r.cfg.TrackCenters)
+	if r.cfg.TrackCenters {
+		if r.usage != nil {
+			r.usage.flush(r.res.CenterStats)
 		}
-		for _, c := range s.cfg.Centers {
-			cs := s.res.CenterStats[c.Name]
+		for _, c := range r.cfg.Centers {
+			cs := r.res.CenterStats[c.Name]
 			e.F64(cs.AvgAllocatedCPU)
 			e.F64(cs.AvgFreeCPU)
 			regions := make([]string, 0, len(cs.AllocatedByRegion))
@@ -236,7 +207,7 @@ func (s *engineState) snapshot(doneTick int) ([]byte, error) {
 // state, returning the tick the snapshot was taken after. The centers
 // must be untouched (as built by the caller's Config); the lease books
 // are reconstructed from the snapshot.
-func (s *engineState) restore(payload []byte) (int, error) {
+func (r *run) restore(payload []byte) (int, error) {
 	d := checkpoint.NewDec(payload)
 	fail := func(err error) (int, error) { return 0, fmt.Errorf("core: resume: %w", err) }
 	if kind := d.Str(); kind != corePayloadKind {
@@ -245,24 +216,24 @@ func (s *engineState) restore(payload []byte) (int, error) {
 		}
 		return 0, fmt.Errorf("core: resume: checkpoint kind %q, want %q", kind, corePayloadKind)
 	}
-	if v := d.Int(); d.Err() == nil && v != s.samples {
-		return 0, fmt.Errorf("core: resume: checkpoint for %d samples, run has %d", v, s.samples)
+	if v := d.Int(); d.Err() == nil && v != r.samples {
+		return 0, fmt.Errorf("core: resume: checkpoint for %d samples, run has %d", v, r.samples)
 	}
-	if v := d.Bool(); d.Err() == nil && v != s.cfg.Static {
+	if v := d.Bool(); d.Err() == nil && v != r.cfg.Static {
 		return 0, fmt.Errorf("core: resume: static-mode mismatch")
 	}
-	if v := d.Int(); d.Err() == nil && v != len(s.zones) {
-		return 0, fmt.Errorf("core: resume: checkpoint has %d zones, run has %d", v, len(s.zones))
+	if v := d.Int(); d.Err() == nil && v != len(r.zones) {
+		return 0, fmt.Errorf("core: resume: checkpoint has %d zones, run has %d", v, len(r.zones))
 	}
-	for i := range s.zones {
-		if tag := d.Str(); d.Err() == nil && tag != s.zones[i].Tag {
-			return 0, fmt.Errorf("core: resume: zone %q in checkpoint, %q in run", tag, s.zones[i].Tag)
+	for i := range r.zones {
+		if tag := d.Str(); d.Err() == nil && tag != r.zones[i].Tag {
+			return 0, fmt.Errorf("core: resume: zone %q in checkpoint, %q in run", tag, r.zones[i].Tag)
 		}
 	}
-	if v := d.Int(); d.Err() == nil && v != len(s.cfg.Centers) {
-		return 0, fmt.Errorf("core: resume: checkpoint has %d centers, run has %d", v, len(s.cfg.Centers))
+	if v := d.Int(); d.Err() == nil && v != len(r.cfg.Centers) {
+		return 0, fmt.Errorf("core: resume: checkpoint has %d centers, run has %d", v, len(r.cfg.Centers))
 	}
-	for _, c := range s.cfg.Centers {
+	for _, c := range r.cfg.Centers {
 		if name := d.Str(); d.Err() == nil && name != c.Name {
 			return 0, fmt.Errorf("core: resume: center %q in checkpoint, %q in run", name, c.Name)
 		}
@@ -272,18 +243,18 @@ func (s *engineState) restore(payload []byte) (int, error) {
 	}
 
 	doneTick := d.Int()
-	s.res.Ticks = d.Int()
-	s.res.Events = d.Int()
-	s.res.Unmet = d.Int()
-	s.res.CumEvents = d.Ints()
-	s.res.OverPct = d.F64s()
-	s.res.UnderPct = d.F64s()
-	copy(s.overSum[:], d.F64s())
-	copy(s.underSum[:], d.F64s())
-	copy(s.overTicks[:], d.Ints())
+	r.res.Ticks = d.Int()
+	r.res.Events = d.Int()
+	r.res.Unmet = d.Int()
+	r.res.CumEvents = d.Ints()
+	r.res.OverPct = d.F64s()
+	r.res.UnderPct = d.F64s()
+	copy(r.overSum[:], d.F64s())
+	copy(r.underSum[:], d.F64s())
+	copy(r.overTicks[:], d.Ints())
 
-	gameIdx := make(map[string]int, len(s.gameNames))
-	for i, name := range s.gameNames {
+	gameIdx := make(map[string]int, len(r.gameNames))
+	for i, name := range r.gameNames {
 		gameIdx[name] = i
 	}
 	for i, n := 0, d.Int(); i < n && d.Err() == nil; i++ {
@@ -293,44 +264,45 @@ func (s *engineState) restore(payload []byte) (int, error) {
 		if !ok {
 			return 0, fmt.Errorf("core: resume: checkpoint accumulates unknown game %q", name)
 		}
-		s.gameUnder[gi] = v
+		r.gameUnder[gi] = v
 	}
 
-	r := s.res.Resilience
-	r.Outages = d.Int()
-	r.FullOutages = d.Int()
-	r.PartialOutages = d.Int()
-	r.CapacityRecovered = d.Int()
-	r.ServiceRecovered = d.Int()
-	r.Failovers = d.Int()
-	r.FailoverLeases = d.Int()
-	r.Retries = d.Int()
-	r.Rejections = d.Int()
-	r.PartialGrants = d.Int()
-	r.DroppedSamples = d.Int()
-	r.CapacityLostCPUTicks = d.F64()
-	r.RegionBlackouts = d.Int()
-	r.FailoversDeferred = d.Int()
-	r.BrownoutTicks = d.Int()
-	r.ShedLeases = d.Int()
-	r.ShedPlayerTicks = d.F64()
-	r.TimeToFullRecoveryTicks = d.Int()
-	for _, c := range s.cfg.Centers {
-		r.Availability[c.Name] = d.F64()
+	rs := r.res.Resilience
+	rs.Outages = d.Int()
+	rs.FullOutages = d.Int()
+	rs.PartialOutages = d.Int()
+	rs.CapacityRecovered = d.Int()
+	rs.ServiceRecovered = d.Int()
+	rs.Failovers = d.Int()
+	rs.FailoverLeases = d.Int()
+	rs.Retries = d.Int()
+	rs.Rejections = d.Int()
+	rs.PartialGrants = d.Int()
+	rs.DroppedSamples = d.Int()
+	rs.CapacityLostCPUTicks = d.F64()
+	rs.RegionBlackouts = d.Int()
+	rs.FailoversDeferred = d.Int()
+	rs.BrownoutTicks = d.Int()
+	rs.ShedLeases = d.Int()
+	rs.ShedPlayerTicks = d.F64()
+	rs.TimeToFullRecoveryTicks = d.Int()
+	for _, c := range r.cfg.Centers {
+		rs.Availability[c.Name] = d.F64()
 	}
 
-	s.tracker.ttrSum = d.F64()
-	s.tracker.pending = d.Ints()
-	for i := range s.tracker.open {
+	r.tracker.ttrSum = d.F64()
+	r.tracker.pending = d.Ints()
+	for i := range r.tracker.open {
 		if d.Bool() {
-			s.tracker.open[i] = &outageWindow{start: d.Int(), sawFull: d.Bool()}
+			r.tracker.open[i] = &outageWindow{start: d.Int(), sawFull: d.Bool()}
+			r.tracker.openWindows++
 		} else {
-			s.tracker.open[i] = nil
+			r.tracker.open[i] = nil
 		}
 	}
 
-	books := make([][]*datacenter.Lease, len(s.cfg.Centers))
-	for ci, c := range s.cfg.Centers {
+	books := make([][]*datacenter.Lease, len(r.cfg.Centers))
+	for ci, c := range r.cfg.Centers {
 		var st datacenter.CheckpointState
 		alloc := d.F64s()
 		st.TotalCost = d.F64()
@@ -370,8 +342,8 @@ func (s *engineState) restore(payload []byte) (int, error) {
 		}
 	}
 
-	for i := range s.zones {
-		z := &s.zones[i]
+	for i := range r.zones {
+		z := &r.zones[i]
 		hasPredictor := d.Bool()
 		var snap []byte
 		if hasPredictor {
@@ -384,7 +356,7 @@ func (s *engineState) restore(payload []byte) (int, error) {
 		if d.Err() != nil {
 			break
 		}
-		if nPending < 0 || nPending > len(s.cfg.Centers) {
+		if nPending < 0 || nPending > len(r.cfg.Centers) {
 			return 0, fmt.Errorf("core: resume: zone %s parks %d failovers", z.Tag, nPending)
 		}
 		z.pendingLost = z.pendingLost[:0]
@@ -427,25 +399,25 @@ func (s *engineState) restore(payload []byte) (int, error) {
 			grants[i] = d.U64()
 		}
 	}
-	*s.brownoutActive = d.Bool()
-	*s.capLossStart = d.Int()
+	r.brownoutActive = d.Bool()
+	r.tracker.capLossStart = d.Int()
 	trackCenters := d.Bool()
 	if d.Err() == nil {
-		if hasPlan != (s.plan != nil) {
+		if hasPlan != (r.plan != nil) {
 			return 0, fmt.Errorf("core: resume: fault-injection mismatch between checkpoint and config")
 		}
-		if trackCenters != s.cfg.TrackCenters {
+		if trackCenters != r.cfg.TrackCenters {
 			return 0, fmt.Errorf("core: resume: TrackCenters mismatch between checkpoint and config")
 		}
 	}
 	if hasPlan && d.Err() == nil {
-		if err := s.plan.RestoreGrants(grants); err != nil {
+		if err := r.plan.RestoreGrants(grants); err != nil {
 			return fail(err)
 		}
 	}
 	if trackCenters && d.Err() == nil {
-		for _, c := range s.cfg.Centers {
-			cs := s.res.CenterStats[c.Name]
+		for _, c := range r.cfg.Centers {
+			cs := r.res.CenterStats[c.Name]
 			cs.AvgAllocatedCPU = d.F64()
 			cs.AvgFreeCPU = d.F64()
 			for i, n := 0, d.Int(); i < n && d.Err() == nil; i++ {
@@ -453,15 +425,15 @@ func (s *engineState) restore(payload []byte) (int, error) {
 				cs.AllocatedByRegion[name] = d.F64()
 			}
 		}
-		if s.usage != nil {
-			s.usage.load(s.res.CenterStats)
+		if r.usage != nil {
+			r.usage.load(r.res.CenterStats)
 		}
 	}
 	if err := d.Close(); err != nil {
 		return fail(err)
 	}
-	if doneTick < 1 || doneTick >= s.samples {
-		return 0, fmt.Errorf("core: resume: checkpoint tick %d outside run of %d samples", doneTick, s.samples)
+	if doneTick < 1 || doneTick >= r.samples {
+		return 0, fmt.Errorf("core: resume: checkpoint tick %d outside run of %d samples", doneTick, r.samples)
 	}
 	return doneTick, nil
 }

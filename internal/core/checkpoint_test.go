@@ -1,6 +1,8 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"math"
 	"os"
@@ -10,8 +12,10 @@ import (
 	"mmogdc/internal/checkpoint"
 	"mmogdc/internal/datacenter"
 	"mmogdc/internal/faults"
+	"mmogdc/internal/geo"
 	"mmogdc/internal/mmog"
 	"mmogdc/internal/predict"
+	"mmogdc/internal/trace"
 )
 
 // assertResultsEqual compares two Results bit-for-bit (NaN-safe, which
@@ -279,4 +283,133 @@ func TestCheckpointFreeRunUnchanged(t *testing.T) {
 		t.Fatalf("uninterrupted checkpointing run reports ResumedFromTick %d", withCkpt.ResumedFromTick)
 	}
 	assertResultsEqual(t, plain, withCkpt)
+}
+
+// pinnedConfig is a small run that touches every field the checkpoint
+// codec writes: two games with stateful predictors, center tracking,
+// stochastic outages (full and degraded), grant rejections, partial
+// grants, monitoring dropouts, scheduled region blackouts, a scheduled
+// center failure, storm control and brownout with a reserve. After tick
+// 483 the eu blackout is under way: three outage windows are open,
+// storm control has parked six zones' failovers, a rejected zone is
+// backed off and the capacity impairment that began at tick 464 has
+// not healed. After tick 490 the na-east blackout has engaged brownout.
+func pinnedConfig() Config {
+	cfg := blackoutConfig()
+	second := trace.Generate(trace.Config{Seed: 8, Days: 1, Regions: []trace.Region{
+		{ID: 0, Name: "Europe", Location: geo.London, Groups: 3},
+		{ID: 1, Name: "US East Coast", Location: geo.NewYork, UTCOffsetHours: -5, Groups: 2},
+	}})
+	cfg.Workloads = append(cfg.Workloads, Workload{
+		Game: mmog.NewGame("shooter", mmog.GenreFPS), Dataset: second,
+		Predictor: predict.NewAR(3, 6, 32),
+	})
+	cfg.TrackCenters = true
+	cfg.Failures = []Failure{{Center: "nyc", AtTick: 300, DurationTicks: 12}}
+	cfg.Faults = &faults.Config{
+		Seed:             11,
+		MTBFTicks:        150,
+		MTTRTicks:        10,
+		DegradedShare:    0.5,
+		RejectProb:       0.2,
+		PartialGrantProb: 0.1,
+		DropoutProb:      0.02,
+		ScheduledBlackouts: []faults.RegionBlackout{
+			{Region: "eu", Start: 480, Duration: 40},
+			{Region: "na-east", Start: 484, Duration: 10},
+		},
+	}
+	cfg.FailoverBudgetPerTick = 1
+	cfg.Brownout = true
+	cfg.BrownoutReserveFrac = 0.1
+	cfg.CheckpointEveryTicks = 100
+	return cfg
+}
+
+// pinnedCheckpointSHA256 holds the sha256 of each checkpoint file a
+// run of pinnedConfig stopped after tick 483 leaves behind (ticks 400
+// and 483), of the one a resume from 483 stopped after tick 490
+// writes, and of the one a resume from 490 stopped after tick 500
+// writes. The last two pin snapshots taken after a restore, so state
+// the decoder drops or fails to rebuild shows up there too; by tick
+// 500 brownout has ended while the eu blackout goes on.
+var pinnedCheckpointSHA256 = map[int]string{
+	400: "74ab996011e4d53b79c858fe22dd92abfaebadb3e91de792e9e69aa4623522f5",
+	483: "b33be794b1c699d24a0ed934d32e4ac51a80bbcb7c67d41d8f3e2a064c6cdef1",
+	490: "a11ca4829bcbdee0ed5893487b02d905ebad3bc28ac5b86791b4e6f9943a2239",
+	500: "8965f43830d5cddaedc885cd01d28cac9e909063c95a1b19b1f4205c2adb7fbc",
+}
+
+// TestCheckpointBytesPinned pins the engine's checkpoint bytes: every
+// checkpoint file of pinnedConfig hashes to the value recorded before
+// the engine's run state was last restructured.
+func TestCheckpointBytesPinned(t *testing.T) {
+	dir := t.TempDir()
+	mgr, err := checkpoint.NewManager(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(ticks ...int) {
+		t.Helper()
+		for _, tick := range ticks {
+			blob, err := os.ReadFile(mgr.Path(tick))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(blob)
+			if got := hex.EncodeToString(sum[:]); got != pinnedCheckpointSHA256[tick] {
+				t.Errorf("checkpoint %d sha256 = %s, want %s: the checkpoint bytes changed", tick, got, pinnedCheckpointSHA256[tick])
+			}
+		}
+	}
+	for _, stop := range []int{483, 490, 500} {
+		cfg := pinnedConfig()
+		cfg.CheckpointDir = dir
+		cfg.StopAfterTick = stop
+		if _, err := Run(cfg); !errors.Is(err, ErrStopped) {
+			t.Fatalf("run stopped after %d returned %v, want ErrStopped", stop, err)
+		}
+		ticks, err := mgr.Ticks()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(ticks...)
+	}
+}
+
+// FuzzRestore feeds arbitrary payloads to the engine's checkpoint
+// decoder, each over freshly built run state: restore must return an
+// error or succeed, never panic. The seed corpus is a real checkpoint
+// payload, taken inside a scheduled outage, and a truncated one.
+func FuzzRestore(f *testing.F) {
+	fresh := func() Config {
+		cfg := resumableConfig()
+		cfg.Workers = 1
+		return cfg
+	}
+	cfg := fresh()
+	cfg.CheckpointDir = f.TempDir()
+	cfg.StopAfterTick = 133
+	if _, err := Run(cfg); !errors.Is(err, ErrStopped) {
+		f.Fatalf("stopped run returned %v, want ErrStopped", err)
+	}
+	mgr, err := checkpoint.NewManager(cfg.CheckpointDir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	snap, err := mgr.Latest()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(snap.Payload)
+	f.Add(snap.Payload[:len(snap.Payload)/2])
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		cfg := fresh()
+		r, err := newRun(&cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.pool.Close()
+		r.restore(payload)
+	})
 }

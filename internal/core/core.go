@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -374,16 +375,6 @@ func failoverJitter(zone, t int) int {
 	return int(h & 3) // 0..3 extra ticks beyond the minimum 1
 }
 
-// containsName reports whether the tiny name list holds name.
-func containsName(list []string, name string) bool {
-	for _, n := range list {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
 // sanitizePrediction guards the simulation against misbehaving
 // predictors: negative, NaN, or infinite forecasts are treated as
 // zero demand (the operator requests nothing rather than poisoning
@@ -395,19 +386,112 @@ func sanitizePrediction(v float64) float64 {
 	return v
 }
 
-// Run executes the simulation and returns its metrics.
+// run is the state of one simulation: the zone arena, the fault plan,
+// the metric accumulators, the outage tracker and the per-tick scratch.
+// Run drives it through one method per pipeline stage, and snapshot and
+// restore (checkpoint.go) encode its fields directly: the run state is
+// the checkpoint state.
+type run struct {
+	cfg *Config
+	// zones is the flat zone-state arena: one value slice in canonical
+	// order, never reallocated after newRun's setup loop (pointers into
+	// it are only taken afterwards). gameNames lists the distinct games
+	// in workload order; the per-game accumulators are flat slices
+	// indexed by zoneState.gameIdx.
+	zones     []zoneState
+	gameNames []string
+	samples   int
+	start     time.Time
+	tick      time.Duration
+
+	centersByName map[string]*datacenter.Center
+	plan          *faults.Plan
+	matcher       *ecosystem.Matcher
+	// acquireOrder decides who gets first pick when capacity is
+	// contended: submission order, or with interaction prioritization
+	// the most compute-intensive games first.
+	acquireOrder []int
+	tagToZone    map[string]int
+
+	res     *Result
+	resil   *Resilience
+	tracker *outageTracker
+	ro      *runObs
+	// usage holds the live AllocatedByRegion accumulators (nil when the
+	// run does not track them per tick).
+	usage *regionUsage
+
+	// Per-resource accumulators for the averages.
+	overSum, underSum [datacenter.NumResources]float64
+	overTicks         [datacenter.NumResources]int
+	// Per-game CPU accumulators, zeroed in place every tick except
+	// gameUnder. gameShortSet replicates the old scratch map's presence
+	// semantics: a game accumulates under-allocation this tick only if
+	// some zone actually fell short.
+	gameAlloc, gameShort, gameUnder []float64
+	gameShortSet                    []bool
+
+	// The observe stage fans the per-zone work out over pool: each zone
+	// writes its own partial, each worker its own cache-line arena.
+	// observeRange is the fan-out body, a method value bound once in
+	// newRun so a tick allocates no closure; curTick, curNow and
+	// curFinal are its arguments, written by the sequential control path
+	// before each fan-out.
+	pool         *par.Pool
+	partials     []zonePartial
+	arenas       []workerArena
+	observeRange func(lo, hi, w int)
+	curTick      int
+	curNow       time.Time
+	curFinal     bool
+
+	// lostCenters[i] names the centers that dropped zone i's leases at
+	// the current tick — the same-tick failover re-acquires from
+	// everywhere else. failoversNow counts the tick's failovers against
+	// the storm-control budget.
+	lostCenters  [][]string
+	failoversNow int
+	// zoneShed marks the zones whose demand brownout deliberately leaves
+	// unserved this tick (nil without brownout); brownoutActive drives
+	// the transition events.
+	zoneShed       []bool
+	brownoutActive bool
+
+	ckpt      *checkpoint.Manager
+	ckptEvery int
+}
+
+// Run executes the simulation and returns its metrics: set up, resume
+// from a checkpoint or bootstrap, one tick per remaining sample, finish.
 func Run(cfg Config) (*Result, error) {
+	r, err := newRun(&cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer r.pool.Close()
+	resumed, err := r.resume()
+	if err != nil {
+		return nil, err
+	}
+	if resumed == 0 {
+		r.bootstrap()
+	}
+	for t := resumed + 1; t < r.samples; t++ {
+		if err := r.step(t); err != nil {
+			return nil, err
+		}
+	}
+	return r.finish(), nil
+}
+
+// newRun validates cfg and builds the run state at tick 0: zones and
+// their predictors, the fault plan, the matcher, the accumulators and
+// the worker pool.
+func newRun(cfg *Config) (*run, error) {
 	if len(cfg.Workloads) == 0 {
 		return nil, fmt.Errorf("core: no workloads")
 	}
-	// zones is the flat zone-state arena: one value slice in canonical
-	// order, never reallocated after this setup loop (pointers into it
-	// are only taken afterwards). gameNames lists the distinct games in
-	// workload order; the per-game accumulators are flat slices indexed
-	// by zoneState.gameIdx.
-	var zones []zoneState
-	var gameNameList []string
-	samples := 0
+	r := &run{cfg: cfg}
 	gameNames := map[string]bool{}
 	for gi, w := range cfg.Workloads {
 		if w.Game == nil || w.Dataset == nil {
@@ -419,15 +503,15 @@ func Run(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("core: duplicate game name %q across workloads", w.Game.Name)
 		}
 		gameNames[w.Game.Name] = true
-		gameNameList = append(gameNameList, w.Game.Name)
-		if samples == 0 {
-			samples = w.Dataset.Samples()
-		} else if w.Dataset.Samples() != samples {
+		r.gameNames = append(r.gameNames, w.Game.Name)
+		if r.samples == 0 {
+			r.samples = w.Dataset.Samples()
+		} else if w.Dataset.Samples() != r.samples {
 			return nil, fmt.Errorf("core: datasets disagree on length")
 		}
 		regions := map[int]trace.Region{}
-		for _, r := range w.Dataset.Regions {
-			regions[r.ID] = r
+		for _, reg := range w.Dataset.Regions {
+			regions[reg.ID] = reg
 		}
 		for _, g := range w.Dataset.Groups {
 			region := regions[g.RegionID]
@@ -440,7 +524,7 @@ func Run(cfg Config) (*Result, error) {
 				game:    w.Game,
 				group:   g,
 				region:  region,
-				idx:     len(zones),
+				idx:     len(r.zones),
 				gameIdx: gi,
 			}
 			if !cfg.Static {
@@ -449,15 +533,16 @@ func Run(cfg Config) (*Result, error) {
 				}
 				z.predictor = w.Predictor()
 			}
-			zones = append(zones, z)
+			r.zones = append(r.zones, z)
 		}
 	}
-	if samples < 2 {
+	if r.samples < 2 {
 		return nil, fmt.Errorf("core: need at least 2 samples")
 	}
-	centersByName := map[string]*datacenter.Center{}
+	zones := r.zones
+	r.centersByName = map[string]*datacenter.Center{}
 	for _, c := range cfg.Centers {
-		centersByName[c.Name] = c
+		r.centersByName[c.Name] = c
 	}
 	for _, f := range cfg.Failures {
 		if f.AtTick < 0 {
@@ -466,7 +551,7 @@ func Run(cfg Config) (*Result, error) {
 		if f.DurationTicks < 1 {
 			return nil, fmt.Errorf("core: failure of %q needs DurationTicks >= 1, got %d", f.Center, f.DurationTicks)
 		}
-		if centersByName[f.Center] == nil {
+		if r.centersByName[f.Center] == nil {
 			return nil, fmt.Errorf("core: failure names unknown center %q", f.Center)
 		}
 	}
@@ -476,7 +561,6 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.BrownoutReserveFrac < 0 || cfg.BrownoutReserveFrac >= 1 {
 		return nil, fmt.Errorf("core: BrownoutReserveFrac must be in [0,1), got %v", cfg.BrownoutReserveFrac)
 	}
-	var plan *faults.Plan
 	if cfg.Faults != nil {
 		if err := cfg.Faults.Validate(); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
@@ -495,7 +579,7 @@ func Run(cfg Config) (*Result, error) {
 					fcfg.Regions[c.Name] = geo.RegionOf(c.Location)
 				}
 			}
-			plan = faults.NewPlan(fcfg, names, samples)
+			r.plan = faults.NewPlan(fcfg, names, r.samples)
 		}
 	}
 
@@ -525,677 +609,608 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	matcher := ecosystem.NewMatcher(cfg.Centers)
-	if plan != nil {
-		matcher.SetFaultInjector(plan)
+	r.matcher = ecosystem.NewMatcher(cfg.Centers)
+	if r.plan != nil {
+		r.matcher.SetFaultInjector(r.plan)
 	}
 	if cfg.Provenance > 0 {
-		matcher.SetDecisionLog(ecosystem.NewDecisionLog(cfg.Provenance))
+		r.matcher.SetDecisionLog(ecosystem.NewDecisionLog(cfg.Provenance))
 	}
-	res := &Result{CenterStats: map[string]*CenterStats{}}
-	var usage *regionUsage
+	r.res = &Result{CenterStats: map[string]*CenterStats{}}
 	if cfg.TrackCenters {
 		for _, c := range cfg.Centers {
-			res.CenterStats[c.Name] = &CenterStats{AllocatedByRegion: map[string]float64{}}
+			r.res.CenterStats[c.Name] = &CenterStats{AllocatedByRegion: map[string]float64{}}
 		}
 		if !cfg.Static {
-			usage = newRegionUsage(cfg.Centers, zones)
+			r.usage = newRegionUsage(cfg.Centers, zones)
 		}
 	}
 	// The per-tick series are appended to once per scored tick;
 	// preallocating their full capacity keeps the tick loop free of
 	// append growth (a resume replaces them with the restored slices).
-	res.CumEvents = make([]int, 0, samples-1)
-	res.OverPct = make([]float64, 0, samples-1)
-	res.UnderPct = make([]float64, 0, samples-1)
+	r.res.CumEvents = make([]int, 0, r.samples-1)
+	r.res.OverPct = make([]float64, 0, r.samples-1)
+	r.res.UnderPct = make([]float64, 0, r.samples-1)
 
-	// Per-resource accumulators for the averages.
-	var overSum, underSum [datacenter.NumResources]float64
-	var overTicks [datacenter.NumResources]int
+	r.gameAlloc = make([]float64, len(r.gameNames))
+	r.gameShort = make([]float64, len(r.gameNames))
+	r.gameShortSet = make([]bool, len(r.gameNames))
+	r.gameUnder = make([]float64, len(r.gameNames))
 
-	// Per-game CPU accumulators: flat slices indexed by zone gameIdx,
-	// zeroed in place every tick. gameShortSet replicates the old
-	// scratch map's presence semantics — a game accumulates
-	// under-allocation this tick only if some zone actually fell short.
-	gameAlloc := make([]float64, len(gameNameList))
-	gameShort := make([]float64, len(gameNameList))
-	gameShortSet := make([]bool, len(gameNameList))
-	gameUnderSum := make([]float64, len(gameNameList))
+	r.start = zones[0].group.Load.Start
+	r.tick = zones[0].group.Load.Tick
 
-	start := zones[0].group.Load.Start
-	tick := zones[0].group.Load.Tick
-
-	// The acquire order decides who gets first pick when capacity is
-	// contended. The default is submission order; with interaction
-	// prioritization, the most compute-intensive games go first (a
-	// stable sort of the index slice — the identical permutation the
-	// old pointer-slice sort produced).
-	acquireOrder := make([]int, len(zones))
-	for i := range acquireOrder {
-		acquireOrder[i] = i
+	// With interaction prioritization the acquire order is a stable
+	// sort of the index slice — the identical permutation the old
+	// pointer-slice sort produced.
+	r.acquireOrder = make([]int, len(zones))
+	for i := range r.acquireOrder {
+		r.acquireOrder[i] = i
 	}
 	if cfg.PrioritizeByInteraction {
-		sort.SliceStable(acquireOrder, func(i, j int) bool {
-			return zones[acquireOrder[i]].game.Update > zones[acquireOrder[j]].game.Update
+		sort.SliceStable(r.acquireOrder, func(i, j int) bool {
+			return zones[r.acquireOrder[i]].game.Update > zones[r.acquireOrder[j]].game.Update
 		})
 	}
 
-	// Each tick splits into three phases. Phase 1 fans the per-zone
-	// work — predictor Observe/Predict, demand conversion, per-zone
-	// allocation scoring — out over this pool; every datum it touches
-	// is zone-local (predictor state, leases) or read-only (trace,
-	// game model), so zones never contend. Phase 2 folds the partials
-	// sequentially in canonical zone order, and phase 3 submits the
-	// contended resource requests sequentially in acquire order, which
-	// keeps Result bit-for-bit independent of the worker count.
-	pool := par.New(cfg.Workers)
-	defer pool.Close()
-	partials := make([]zonePartial, len(zones))
-	// Per-worker scratch arenas, one cache line each so workers never
-	// share a write-hot line. They hold the per-worker pieces of the
-	// tick that are order-independent to combine (integer counts); all
-	// float accumulation stays in the sequential reduce.
-	arenas := make([]workerArena, pool.Workers())
+	// Each tick splits into three phases. The observe stage fans the
+	// per-zone work — predictor Observe/Predict, demand conversion,
+	// per-zone allocation scoring — out over this pool; every datum it
+	// touches is zone-local (predictor state, leases) or read-only
+	// (trace, game model), so zones never contend. The reduce folds the
+	// partials sequentially in canonical zone order, and the acquire
+	// stage submits the contended resource requests sequentially in
+	// acquire order, which keeps Result bit-for-bit independent of the
+	// worker count.
+	r.pool = par.New(cfg.Workers)
+	r.partials = make([]zonePartial, len(zones))
+	r.arenas = make([]workerArena, r.pool.Workers())
+	r.observeRange = r.observeZones
 
-	resil := &Resilience{Availability: map[string]float64{}}
-	res.Resilience = resil
-	tracker := newOutageTracker(cfg.Centers, resil)
-	ro := newRunObs(cfg.Obs)
+	r.resil = &Resilience{Availability: map[string]float64{}}
+	r.res.Resilience = r.resil
+	r.tracker = newOutageTracker(cfg.Centers, r.resil)
+	r.ro = newRunObs(cfg.Obs)
 
-	tagToZone := make(map[string]int, len(zones))
+	r.tagToZone = make(map[string]int, len(zones))
 	for i := range zones {
-		tagToZone[zones[i].Tag] = i
+		r.tagToZone[zones[i].Tag] = i
 	}
-	// lostCenters[i] names the centers that dropped zone i's leases at
-	// the current tick — the same-tick failover re-acquires from
-	// everywhere else.
-	lostCenters := make([][]string, len(zones))
-
-	// Brownout and recovery tracking. zoneShed marks the zones whose
-	// demand is deliberately unserved this tick; brownoutActive and
-	// capLossStart drive the transition events and the time-to-full-
-	// recovery accounting (both survive checkpoints).
-	var zoneShed []bool
+	r.lostCenters = make([][]string, len(zones))
 	if cfg.Brownout && !cfg.Static {
-		zoneShed = make([]bool, len(zones))
+		r.zoneShed = make([]bool, len(zones))
 	}
-	trackImpairment := !cfg.Static && (plan != nil || len(cfg.Failures) > 0 || cfg.Brownout)
-	brownoutActive := false
-	capLossStart := -1
+	r.ckptEvery = cfg.CheckpointEveryTicks
+	if r.ckptEvery <= 0 {
+		r.ckptEvery = 60
+	}
+	return r, nil
+}
 
-	// applyFailures fires the scheduled and injected outages and
-	// recoveries due at tick t: the capacity vanishes, the operator
-	// fails the lost leases over within the same tick. Tick-0 outages
-	// fire before the bootstrap acquire, so a center that is down from
-	// the start never hands out leases. Recoveries apply first so
-	// windows meeting at one tick compose through the refcount.
-	applyFailures := func(t int) {
-		for i := range lostCenters {
-			lostCenters[i] = lostCenters[i][:0]
-		}
-		noteLost := func(dropped []*datacenter.Lease, center string) {
-			for _, l := range dropped {
-				zi, ok := tagToZone[l.Tag]
-				if !ok {
-					continue
-				}
-				if !containsName(lostCenters[zi], center) {
-					lostCenters[zi] = append(lostCenters[zi], center)
-				}
-			}
-		}
-		for _, f := range cfg.Failures {
-			if t == f.AtTick+f.DurationTicks {
-				centersByName[f.Center].Recover()
-				ro.recovery(t, f.Center, 1)
-			}
-		}
-		// Region-level events bracket the member centers' own: the
-		// blackout/recover markers fire before the per-center fail and
-		// recover records they explain.
-		for _, b := range plan.BlackoutRecoveriesAt(t) {
-			ro.regionRecover(t, b.Region)
-		}
-		for _, o := range plan.RecoveriesAt(t) {
-			if c := centersByName[o.Center]; o.Fraction >= 1 {
-				c.Recover()
-			} else {
-				c.Restore(o.Fraction)
-			}
-			ro.recovery(t, o.Center, o.Fraction)
-		}
-		for _, f := range cfg.Failures {
-			if t == f.AtTick {
-				noteLost(centersByName[f.Center].Fail(), f.Center)
-				ro.outage(t, f.Center, 1)
-			}
-		}
-		for _, b := range plan.BlackoutsAt(t) {
-			resil.RegionBlackouts++
-			ro.regionBlackout(t, b.Region)
-		}
-		for _, o := range plan.FailuresAt(t) {
-			if c := centersByName[o.Center]; o.Fraction >= 1 {
-				noteLost(c.Fail(), o.Center)
-			} else {
-				noteLost(c.Degrade(o.Fraction), o.Center)
-			}
-			ro.outage(t, o.Center, o.Fraction)
-		}
-		tracker.observe(t)
+// resume adopts the newest valid checkpoint (skipping corrupt files)
+// when the run has a checkpoint directory, and returns the tick it was
+// taken after; 0 means a fresh run.
+func (r *run) resume() (int, error) {
+	if r.cfg.CheckpointDir == "" {
+		return 0, nil
 	}
+	var err error
+	if r.ckpt, err = checkpoint.NewManager(r.cfg.CheckpointDir); err != nil {
+		return 0, fmt.Errorf("core: %w", err)
+	}
+	snap, err := r.ckpt.Latest()
+	if errors.Is(err, checkpoint.ErrNoCheckpoint) {
+		return 0, nil
+	}
+	if err != nil {
+		return 0, fmt.Errorf("core: %w", err)
+	}
+	tick, err := r.restore(snap.Payload)
+	if err != nil {
+		return 0, err
+	}
+	r.res.ResumedFromTick = tick
+	r.ro.resumed(tick)
+	return tick, nil
+}
 
-	// Checkpoint/resume: with a directory configured, adopt the newest
-	// valid snapshot (skipping corrupt files) and continue from the
-	// tick after it; otherwise run from the top. The bootstrap below is
-	// part of tick 0 and is skipped on resume — its effects live in the
-	// restored state.
-	es := &engineState{
-		cfg: &cfg, zones: zones, res: res,
-		overSum: &overSum, underSum: &underSum, overTicks: &overTicks,
-		gameNames: gameNameList, gameUnder: gameUnderSum,
-		tracker: tracker, plan: plan, samples: samples,
-		brownoutActive: &brownoutActive, capLossStart: &capLossStart,
-		usage: usage,
+// bootstrap runs unscored tick 0 of a fresh run: the tick-0 outages
+// fire, so a center down from the start never hands out leases, and in
+// dynamic mode the operator observes the initial load and provisions
+// for it, so the simulation does not begin with an empty allocation
+// (game sessions do not start cold mid-operation). It uses the tick's
+// own observe and acquire stages: on the empty lease books the observe
+// stage's request is exactly the predicted demand.
+func (r *run) bootstrap() {
+	r.applyFailures(0)
+	if r.cfg.Static {
+		return
 	}
-	var ckptMgr *checkpoint.Manager
-	ckptEvery := cfg.CheckpointEveryTicks
-	if ckptEvery <= 0 {
-		ckptEvery = 60
+	r.ro.beginBootstrap()
+	r.observe(0, r.start, false)
+	r.foldDropped(0)
+	for _, zi := range r.acquireOrder {
+		r.acquireZone(zi, 0, r.start)
 	}
-	resumedTick := 0
-	if cfg.CheckpointDir != "" {
-		var err error
-		ckptMgr, err = checkpoint.NewManager(cfg.CheckpointDir)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		snap, err := ckptMgr.Latest()
-		switch {
-		case err == nil:
-			if resumedTick, err = es.restore(snap.Payload); err != nil {
-				return nil, err
-			}
-			res.ResumedFromTick = resumedTick
-			ro.resumed(resumedTick)
-		case errors.Is(err, checkpoint.ErrNoCheckpoint):
-			// Fresh run.
-		default:
-			return nil, fmt.Errorf("core: %w", err)
-		}
-	}
-	saveCheckpoint := func(t int) error {
-		if ckptMgr == nil || (t%ckptEvery != 0 && t != cfg.StopAfterTick) {
-			return nil
-		}
-		encStart := ro.now()
-		payload, err := es.snapshot(t)
-		if err != nil {
-			return err
-		}
-		encDone := ro.now()
-		if err := ckptMgr.Save(t, payload); err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-		ro.checkpointed(t, len(payload), encStart, encDone, ro.now())
-		return nil
-	}
+	r.ro.endBootstrap()
+}
 
-	if resumedTick == 0 {
-		applyFailures(0)
+// step runs scored tick t: failures, lease expiry, the parallel observe
+// stage, the sequential reduce, then — in dynamic mode before the final
+// tick — brownout, recovery tracking and the acquire stage, and last
+// the checkpoint.
+func (r *run) step(t int) error {
+	ro := r.ro
+	tickStart := ro.now()
+	ro.beginTick(t, "tick", tickStart)
+	now := r.start.Add(time.Duration(t) * r.tick)
+	r.applyFailures(t)
+	if !r.cfg.Static {
+		r.matcher.Expire(now)
 	}
+	final := t == r.samples-1
+	phaseStart := ro.now()
+	ro.beginObserve(phaseStart)
+	r.observe(t, now, final)
+	observeDone := ro.now()
+	ro.observeDone(phaseStart, observeDone)
 
-	// Bootstrap: before the first scored tick the operator observes
-	// the initial load and provisions for it, so the simulation does
-	// not begin with an empty allocation (game sessions do not start
-	// cold mid-operation).
-	if !cfg.Static && resumedTick == 0 {
-		ro.beginBootstrap()
-		pool.ForWorker(len(zones), func(i, w int) {
-			z := &zones[i]
-			sp := ro.zoneSpan(z.Tag, 0, w)
-			defer sp.End()
-			v := z.group.Load.At(0)
-			if plan.DropSample(z.idx, 0) || math.IsNaN(v) {
-				partials[i].dropped = true
-				v = z.lastObs
-			} else {
-				partials[i].dropped = false
-				z.lastObs = v
-			}
-			z.predictor.Observe(v)
-			predicted := sanitizePrediction(z.predictor.Predict())
-			partials[i].need = provision.Vector(z.game.DemandForEntities(predicted * (1 + cfg.SafetyMargin)))
-		})
-		for i := range zones {
-			if partials[i].dropped {
-				resil.DroppedSamples++
-				ro.droppedSample(0, zones[i].Tag)
-			}
-		}
-		for _, zi := range acquireOrder {
-			z := &zones[zi]
-			want := partials[zi].need
-			if want.IsZero() {
-				continue
-			}
-			asp := ro.beginZoneAcquire(0, z.Tag, nil, false)
-			leases, _, out := z.Acquire(matcher, want, nil, start, 0)
-			resil.Rejections += out.Rejections
-			resil.PartialGrants += out.PartialGrants
-			ro.acquired(0, z.Tag, leases, out, nil, asp)
-		}
-		ro.endBootstrap()
+	r.foldDropped(t)
+	allocCPU, loadCPU := r.reduce(t)
+	reduceDone := ro.now()
+	ro.reduceDone(observeDone, reduceDone)
+
+	if !r.cfg.Static && !final {
+		ro.beginAcquireSpan(reduceDone)
+		r.brownout(t, loadCPU)
+		r.tracker.trackRecovery(t, r.brownoutActive)
+		r.acquire(t, now)
+		ro.acquireDone(reduceDone, ro.now())
 	}
+	// Checkpoints land at end-of-tick boundaries: everything tick t did
+	// — metrics, leases, predictor updates, backoff — is in the
+	// snapshot, and the resumed run re-enters the loop at t+1.
+	if err := r.saveCheckpoint(t); err != nil {
+		return err
+	}
+	ro.tickDone(t, tickStart, ro.now(), allocCPU, loadCPU,
+		r.res.OverPct[len(r.res.OverPct)-1], r.res.UnderPct[len(r.res.UnderPct)-1], r.pool)
+	if r.cfg.StopAfterTick > 0 && t >= r.cfg.StopAfterTick {
+		return ErrStopped
+	}
+	return nil
+}
 
-	// Phase 1 (parallel per-zone) body, hoisted out of the tick loop so
-	// the fan-out allocates no per-tick closures. curTick/curNow/
-	// curFinal are written by the sequential control path before each
-	// fan-out. The body: score the allocation in force against the
-	// actual demand, observe the new sample, and size the request
-	// closing the gap to the predicted next demand. Monitoring dropouts
-	// are decided by a stateless hash of (seed, zone, tick), so
-	// parallel workers never contend on a random stream.
-	var (
-		curTick  int
-		curNow   time.Time
-		curFinal bool
-	)
-	zoneTick := func(i, w int) {
-		z := &zones[i]
-		sp := ro.zoneSpan(z.Tag, curTick, w)
-		defer sp.End()
-		pt := &partials[i]
-		if cfg.Static {
-			pt.alloc = z.staticAlloc
-			if z.home != nil {
-				pt.alloc = z.staticAlloc.Scale(z.home.AvailableFraction())
-			}
+// applyFailures fires the scheduled and injected outages and
+// recoveries due at tick t: the capacity vanishes, the operator fails
+// the lost leases over within the same tick. Recoveries apply first so
+// windows meeting at one tick compose through the refcount.
+func (r *run) applyFailures(t int) {
+	for i := range r.lostCenters {
+		r.lostCenters[i] = r.lostCenters[i][:0]
+	}
+	ro, plan := r.ro, r.plan
+	for _, f := range r.cfg.Failures {
+		if t == f.AtTick+f.DurationTicks {
+			r.centersByName[f.Center].Recover()
+			ro.recovery(t, f.Center, 1)
+		}
+	}
+	// Region-level events bracket the member centers' own: the
+	// blackout/recover markers fire before the per-center fail and
+	// recover records they explain.
+	for _, b := range plan.BlackoutRecoveriesAt(t) {
+		ro.regionRecover(t, b.Region)
+	}
+	for _, o := range plan.RecoveriesAt(t) {
+		if c := r.centersByName[o.Center]; o.Fraction >= 1 {
+			c.Recover()
 		} else {
-			pt.alloc = z.Active(curNow)
+			c.Restore(o.Fraction)
 		}
-		raw := z.group.Load.At(curTick)
-		loadVal := raw
-		if plan.DropSample(z.idx, curTick) || math.IsNaN(raw) {
-			pt.dropped = true
-			arenas[w].dropped++
-			if math.IsNaN(raw) {
-				// The sample is missing from the trace itself; the
-				// carried-forward observation is the best load
-				// estimate available for scoring.
-				loadVal = z.lastObs
-			}
-		} else {
-			pt.dropped = false
-			z.lastObs = raw
-		}
-		pt.load = provision.Vector(z.game.DemandForEntities(loadVal))
-		pt.need = datacenter.Vector{}
-		if cfg.Static || curFinal {
-			return
-		}
-		// Observe tick t (the last sample that arrived — dropouts
-		// carry the previous observation forward so the predictor
-		// state never ingests a hole), predict tick t+1. The
-		// request is sized against the allocation surviving to the
-		// next scoring instant, so leases renew before they lapse.
-		z.predictor.Observe(z.lastObs)
-		predicted := sanitizePrediction(z.predictor.Predict())
-		want := provision.Vector(z.game.DemandForEntities(predicted * (1 + cfg.SafetyMargin)))
-		have := z.At(curNow.Add(tick))
-		pt.need = want.Sub(have).ClampNonNegative()
+		ro.recovery(t, o.Center, o.Fraction)
 	}
-	observePhase := func(lo, hi, w int) {
-		for i := lo; i < hi; i++ {
-			zoneTick(i, w)
+	for _, f := range r.cfg.Failures {
+		if t == f.AtTick {
+			r.noteLost(r.centersByName[f.Center].Fail(), f.Center)
+			ro.outage(t, f.Center, 1)
 		}
 	}
-
-	for t := resumedTick + 1; t < samples; t++ {
-		tickStart := ro.now()
-		ro.beginTick(t, "tick", tickStart)
-		now := start.Add(time.Duration(t) * tick)
-		applyFailures(t)
-		if !cfg.Static {
-			matcher.Expire(now)
-		}
-		final := t == samples-1
-		phaseStart := ro.now()
-		ro.beginObserve(phaseStart)
-
-		// Phase 1 (parallel per-zone): chunked contiguous ranges give
-		// each worker exclusive runs of the partials slice (no false
-		// sharing) and amortize the work-stealing cursor over whole
-		// chunks.
-		curTick, curNow, curFinal = t, now, final
-		for w := range arenas {
-			arenas[w].dropped = 0
-		}
-		pool.ForRanges(len(zones), 0, observePhase)
-		observeDone := ro.now()
-		ro.observeDone(phaseStart, observeDone)
-
-		// Phase 2 (sequential reduce): fold the per-zone partials in
-		// canonical zone order — float summation order is fixed, so
-		// the metrics do not depend on the worker count. The dropout
-		// count sums the per-worker arena counters (an integer sum,
-		// order-independent by construction); the per-zone walk for
-		// dropout events only runs when telemetry wants them.
-		var droppedNow int64
-		for w := range arenas {
-			droppedNow += arenas[w].dropped
-		}
-		resil.DroppedSamples += int(droppedNow)
-		if ro != nil && droppedNow > 0 {
-			for i := range zones {
-				if partials[i].dropped {
-					ro.droppedSample(t, zones[i].Tag)
-				}
-			}
-		}
-		var alloc, load [datacenter.NumResources]float64
-		var shortfall [datacenter.NumResources]float64
-		for i := range zones {
-			z := &zones[i]
-			a, l := partials[i].alloc, partials[i].load
-			for r := 0; r < int(datacenter.NumResources); r++ {
-				alloc[r] += a[r]
-				load[r] += l[r]
-				if d := a[r] - l[r]; d < 0 {
-					shortfall[r] += d
-				}
-			}
-			gameAlloc[z.gameIdx] += a[datacenter.CPU]
-			if d := a[datacenter.CPU] - l[datacenter.CPU]; d < 0 {
-				gameShort[z.gameIdx] += d
-				gameShortSet[z.gameIdx] = true
-			}
-		}
-		// M in Equation 2 is the number of machines participating in
-		// the game session: the machine-equivalents the allocation
-		// occupies (one machine provides one CPU unit).
-		machines := math.Ceil(alloc[datacenter.CPU])
-		if machines < 1 {
-			machines = 1
-		}
-		event := false
-		worstUnder := 0.0
-		for r := 0; r < int(datacenter.NumResources); r++ {
-			if load[r] > 0 {
-				overSum[r] += (alloc[r]/load[r] - 1) * 100
-				overTicks[r]++
-			}
-			u := shortfall[r] / machines * 100
-			underSum[r] += u
-			if u < -SignificantUnderPct {
-				event = true
-			}
-			if u < worstUnder {
-				worstUnder = u
-			}
-		}
-		if event {
-			res.Events++
-			ro.breach(t, worstUnder)
-		}
-		tracker.serviceHealthy(t, !event)
-		res.CumEvents = append(res.CumEvents, res.Events)
-		if load[datacenter.CPU] > 0 {
-			res.OverPct = append(res.OverPct, (alloc[datacenter.CPU]/load[datacenter.CPU]-1)*100)
+	for _, b := range plan.BlackoutsAt(t) {
+		r.resil.RegionBlackouts++
+		ro.regionBlackout(t, b.Region)
+	}
+	for _, o := range plan.FailuresAt(t) {
+		if c := r.centersByName[o.Center]; o.Fraction >= 1 {
+			r.noteLost(c.Fail(), o.Center)
 		} else {
-			res.OverPct = append(res.OverPct, 0)
+			r.noteLost(c.Degrade(o.Fraction), o.Center)
 		}
-		res.UnderPct = append(res.UnderPct, shortfall[datacenter.CPU]/machines*100)
-		res.Ticks++
+		ro.outage(t, o.Center, o.Fraction)
+	}
+	r.tracker.observe(t)
+}
 
-		// Per-game under-allocation: only games where some zone actually
-		// fell short this tick accumulate (matching the old scratch
-		// map's presence semantics); the accumulators reset in place.
-		for gi := range gameAlloc {
-			if gameShortSet[gi] {
-				m := math.Ceil(gameAlloc[gi])
-				if m < 1 {
-					m = 1
-				}
-				gameUnderSum[gi] += gameShort[gi] / m * 100
-			}
-			gameAlloc[gi], gameShort[gi], gameShortSet[gi] = 0, 0, false
-		}
-
-		// Account center usage.
-		if cfg.TrackCenters && !cfg.Static {
-			for _, c := range cfg.Centers {
-				cs := res.CenterStats[c.Name]
-				cs.AvgAllocatedCPU += c.Allocated()[datacenter.CPU]
-				cs.AvgFreeCPU += c.Free()[datacenter.CPU]
-			}
-			// The observe phase's Active(now) left exactly the leases
-			// active at now in every book.
-			for i := range zones {
-				z := &zones[i]
-				for _, l := range z.Leases() {
-					usage.add(l.Center, z.regionCol, l.Alloc[datacenter.CPU])
-				}
-			}
-		}
-
-		reduceDone := ro.now()
-		ro.reduceDone(observeDone, reduceDone)
-
-		if cfg.Static || final {
-			if err := saveCheckpoint(t); err != nil {
-				return nil, err
-			}
-			ro.tickDone(t, tickStart, ro.now(),
-				alloc[datacenter.CPU], load[datacenter.CPU],
-				res.OverPct[len(res.OverPct)-1], res.UnderPct[len(res.UnderPct)-1], pool)
-			if cfg.StopAfterTick > 0 && t >= cfg.StopAfterTick {
-				return nil, ErrStopped
-			}
+// noteLost records center in the lost list of every zone whose lease
+// it dropped.
+func (r *run) noteLost(dropped []*datacenter.Lease, center string) {
+	for _, l := range dropped {
+		zi, ok := r.tagToZone[l.Tag]
+		if !ok {
 			continue
 		}
-
-		// Phase 3 (sequential acquire): lease the per-zone gaps, in
-		// submission/priority order — capacity contention resolves
-		// exactly as in the sequential engine. The gap of a zone whose
-		// leases died with a failed center this tick already includes
-		// the loss, so the same acquisition doubles as the failover
-		// re-acquisition — excluding the centers that dropped it.
-		ro.beginAcquireSpan(reduceDone)
-
-		// Brownout: when the surviving effective capacity — minus the
-		// reserve held back per failure domain for failover headroom —
-		// cannot cover this tick's demand, shed the lowest-priority
-		// zones outright instead of letting every zone thrash over the
-		// shortfall. The shed set is recomputed each brownout tick from
-		// the live acquire order, so zones rejoin as capacity returns.
-		if zoneShed != nil {
-			budget := 0.0
-			for _, c := range cfg.Centers {
-				budget += c.EffectiveCapacity()[datacenter.CPU]
-			}
-			budget *= 1 - cfg.BrownoutReserveFrac
-			demand := load[datacenter.CPU]
-			if demand > budget {
-				resil.BrownoutTicks++
-				ro.brownoutTick()
-				if !brownoutActive {
-					brownoutActive = true
-					ro.brownoutTransition(t, true, demand-budget)
-				}
-				kept := 0.0
-				for _, zi := range acquireOrder {
-					z := &zones[zi]
-					zl := partials[zi].load[datacenter.CPU]
-					// Always keep the highest-priority zone: shedding
-					// everything serves no one.
-					if kept+zl <= budget || kept == 0 {
-						kept += zl
-						zoneShed[zi] = false
-						continue
-					}
-					zoneShed[zi] = true
-					released := z.ReleaseAll()
-					if released > 0 || z.lastObs > 0 {
-						resil.ShedLeases += released
-						resil.ShedPlayerTicks += z.lastObs
-						ro.shed(t, z.Tag, z.lastObs, released)
-					}
-				}
-			} else if brownoutActive {
-				brownoutActive = false
-				ro.brownoutTransition(t, false, 0)
-				for i := range zoneShed {
-					zoneShed[i] = false
-				}
-			}
-		}
-
-		// Time-to-full-recovery: track the longest stretch from capacity
-		// impairment (a center down or degraded, or brownout engaged) to
-		// the tick full capacity resumed.
-		if trackImpairment {
-			impaired := brownoutActive
-			if !impaired {
-				for _, c := range cfg.Centers {
-					if c.AvailableFraction() < 1 {
-						impaired = true
-						break
-					}
-				}
-			}
-			switch {
-			case impaired && capLossStart < 0:
-				capLossStart = t
-			case !impaired && capLossStart >= 0:
-				if d := t - capLossStart; d > resil.TimeToFullRecoveryTicks {
-					resil.TimeToFullRecoveryTicks = d
-				}
-				capLossStart = -1
-			}
-		}
-
-		failoversNow := 0
-		anyUnmet := false
-		for _, zi := range acquireOrder {
-			z := &zones[zi]
-			if zoneShed != nil && zoneShed[zi] {
-				// Shed in brownout: the demand is deliberately unserved,
-				// and any parked failover is moot — the leases are gone.
-				z.pendingLost = z.pendingLost[:0]
-				if z.lastObs > 0 {
-					anyUnmet = true
-				}
-				continue
-			}
-			lost := lostCenters[zi]
-			need := partials[zi].need
-			if len(z.pendingLost) > 0 && t >= z.failoverAt {
-				// A deferred failover comes due: fold the parked centers
-				// into this tick's exclusion list.
-				for _, name := range z.pendingLost {
-					if !containsName(lost, name) {
-						lostCenters[zi] = append(lostCenters[zi], name)
-					}
-				}
-				lost = lostCenters[zi]
-				z.pendingLost = z.pendingLost[:0]
-			}
-			if len(lost) == 0 && z.Waiting(t) {
-				// Backed off after injected rejections: don't hammer
-				// the ecosystem; the demand goes unserved this tick. A
-				// failover overrides the backoff — lost capacity is
-				// urgent.
-				if !need.IsZero() {
-					anyUnmet = true
-				}
-				continue
-			}
-			if need.IsZero() {
-				continue
-			}
-			if len(lost) > 0 && cfg.FailoverBudgetPerTick > 0 && failoversNow >= cfg.FailoverBudgetPerTick {
-				// Storm control: the per-tick failover budget is spent —
-				// park the lost centers and come back after a short
-				// deterministic jitter, so a region blackout does not
-				// stampede every zone onto the survivors at once.
-				for _, name := range lost {
-					if !containsName(z.pendingLost, name) {
-						z.pendingLost = append(z.pendingLost, name)
-					}
-				}
-				z.failoverAt = t + 1 + failoverJitter(zi, t)
-				resil.FailoversDeferred++
-				ro.failoverDeferred(t, z.Tag, z.failoverAt)
-				anyUnmet = true
-				continue
-			}
-			retry := z.Retrying()
-			asp := ro.beginZoneAcquire(t, z.Tag, lost, retry)
-			if retry {
-				resil.Retries++
-				ro.retried(t, z.Tag, asp)
-			}
-			leases, unmet, out := z.Acquire(matcher, need, lost, now, t)
-			resil.Rejections += out.Rejections
-			resil.PartialGrants += out.PartialGrants
-			ro.acquired(t, z.Tag, leases, out, lost, asp)
-			if len(lost) > 0 {
-				failoversNow++
-				resil.Failovers++
-				resil.FailoverLeases += len(leases)
-			}
-			if !unmet.IsZero() {
-				anyUnmet = true
-			}
-		}
-		if anyUnmet {
-			res.Unmet++
-			ro.unmetTick()
-		}
-		ro.acquireDone(reduceDone, ro.now())
-		// Checkpoints land at end-of-tick boundaries: everything tick t
-		// did — metrics, leases, predictor updates, backoff — is in the
-		// snapshot, and the resumed run re-enters the loop at t+1.
-		if err := saveCheckpoint(t); err != nil {
-			return nil, err
-		}
-		ro.tickDone(t, tickStart, ro.now(),
-			alloc[datacenter.CPU], load[datacenter.CPU],
-			res.OverPct[len(res.OverPct)-1], res.UnderPct[len(res.UnderPct)-1], pool)
-		if cfg.StopAfterTick > 0 && t >= cfg.StopAfterTick {
-			return nil, ErrStopped
+		if !slices.Contains(r.lostCenters[zi], center) {
+			r.lostCenters[zi] = append(r.lostCenters[zi], center)
 		}
 	}
-	tracker.finish(res.Ticks)
+}
 
+// observe runs the parallel per-zone stage of tick t: chunked
+// contiguous ranges give each worker exclusive runs of the partials
+// slice (no false sharing) and amortize the work-stealing cursor over
+// whole chunks.
+func (r *run) observe(t int, now time.Time, final bool) {
+	r.curTick, r.curNow, r.curFinal = t, now, final
+	for w := range r.arenas {
+		r.arenas[w].dropped = 0
+	}
+	r.pool.ForRanges(len(r.zones), 0, r.observeRange)
+}
+
+// observeZones is the observe stage's fan-out body over zones [lo, hi).
+func (r *run) observeZones(lo, hi, w int) {
+	for i := lo; i < hi; i++ {
+		r.observeZone(i, w)
+	}
+}
+
+// observeZone is one zone's share of the observe stage on worker w:
+// score the allocation in force against the actual demand, observe the
+// new sample, and size the request closing the gap to the predicted
+// next demand. Monitoring dropouts are decided by a stateless hash of
+// (seed, zone, tick), so parallel workers never contend on a random
+// stream.
+func (r *run) observeZone(i, w int) {
+	z := &r.zones[i]
+	sp := r.ro.zoneSpan(z.Tag, r.curTick, w)
+	defer sp.End()
+	pt := &r.partials[i]
+	if r.cfg.Static {
+		pt.alloc = z.staticAlloc
+		if z.home != nil {
+			pt.alloc = z.staticAlloc.Scale(z.home.AvailableFraction())
+		}
+	} else {
+		pt.alloc = z.Active(r.curNow)
+	}
+	raw := z.group.Load.At(r.curTick)
+	loadVal := raw
+	if r.plan.DropSample(z.idx, r.curTick) || math.IsNaN(raw) {
+		pt.dropped = true
+		r.arenas[w].dropped++
+		if math.IsNaN(raw) {
+			// The sample is missing from the trace itself; the
+			// carried-forward observation is the best load estimate
+			// available for scoring.
+			loadVal = z.lastObs
+		}
+	} else {
+		pt.dropped = false
+		z.lastObs = raw
+	}
+	pt.load = provision.Vector(z.game.DemandForEntities(loadVal))
+	pt.need = datacenter.Vector{}
+	if r.cfg.Static || r.curFinal {
+		return
+	}
+	// Observe tick t (the last sample that arrived — dropouts carry the
+	// previous observation forward so the predictor state never ingests
+	// a hole), predict tick t+1. The request is sized against the
+	// allocation surviving to the next scoring instant, so leases renew
+	// before they lapse.
+	z.predictor.Observe(z.lastObs)
+	predicted := sanitizePrediction(z.predictor.Predict())
+	want := provision.Vector(z.game.DemandForEntities(predicted * (1 + r.cfg.SafetyMargin)))
+	have := z.At(r.curNow.Add(r.tick))
+	pt.need = want.Sub(have).ClampNonNegative()
+}
+
+// foldDropped counts the observe stage's monitoring dropouts: an
+// integer sum of the per-worker arena counters, order-independent by
+// construction. The per-zone walk for dropout events only runs when
+// telemetry wants them.
+func (r *run) foldDropped(t int) {
+	var n int64
+	for w := range r.arenas {
+		n += r.arenas[w].dropped
+	}
+	r.resil.DroppedSamples += int(n)
+	if r.ro != nil && n > 0 {
+		for i := range r.zones {
+			if r.partials[i].dropped {
+				r.ro.droppedSample(t, r.zones[i].Tag)
+			}
+		}
+	}
+}
+
+// reduce folds tick t's per-zone partials in canonical zone order —
+// float summation order is fixed, so the metrics do not depend on the
+// worker count — and returns the tick's total CPU allocation and load.
+func (r *run) reduce(t int) (allocCPU, loadCPU float64) {
+	var alloc, load [datacenter.NumResources]float64
+	var shortfall [datacenter.NumResources]float64
+	for i := range r.zones {
+		gi := r.zones[i].gameIdx
+		a, l := r.partials[i].alloc, r.partials[i].load
+		for k := 0; k < int(datacenter.NumResources); k++ {
+			alloc[k] += a[k]
+			load[k] += l[k]
+			if d := a[k] - l[k]; d < 0 {
+				shortfall[k] += d
+			}
+		}
+		r.gameAlloc[gi] += a[datacenter.CPU]
+		if d := a[datacenter.CPU] - l[datacenter.CPU]; d < 0 {
+			r.gameShort[gi] += d
+			r.gameShortSet[gi] = true
+		}
+	}
+	// M in Equation 2 is the number of machines participating in the
+	// game session: the machine-equivalents the allocation occupies
+	// (one machine provides one CPU unit).
+	machines := math.Ceil(alloc[datacenter.CPU])
+	if machines < 1 {
+		machines = 1
+	}
+	res := r.res
+	event := false
+	worstUnder := 0.0
+	for k := 0; k < int(datacenter.NumResources); k++ {
+		if load[k] > 0 {
+			r.overSum[k] += (alloc[k]/load[k] - 1) * 100
+			r.overTicks[k]++
+		}
+		u := shortfall[k] / machines * 100
+		r.underSum[k] += u
+		if u < -SignificantUnderPct {
+			event = true
+		}
+		if u < worstUnder {
+			worstUnder = u
+		}
+	}
+	if event {
+		res.Events++
+		r.ro.breach(t, worstUnder)
+	}
+	r.tracker.serviceHealthy(t, !event)
+	res.CumEvents = append(res.CumEvents, res.Events)
+	if load[datacenter.CPU] > 0 {
+		res.OverPct = append(res.OverPct, (alloc[datacenter.CPU]/load[datacenter.CPU]-1)*100)
+	} else {
+		res.OverPct = append(res.OverPct, 0)
+	}
+	res.UnderPct = append(res.UnderPct, shortfall[datacenter.CPU]/machines*100)
+	res.Ticks++
+
+	// Per-game under-allocation: only games where some zone actually
+	// fell short this tick accumulate; the accumulators reset in place.
+	for gi := range r.gameAlloc {
+		if r.gameShortSet[gi] {
+			m := math.Ceil(r.gameAlloc[gi])
+			if m < 1 {
+				m = 1
+			}
+			r.gameUnder[gi] += r.gameShort[gi] / m * 100
+		}
+		r.gameAlloc[gi], r.gameShort[gi], r.gameShortSet[gi] = 0, 0, false
+	}
+
+	// Account center usage.
+	if r.cfg.TrackCenters && !r.cfg.Static {
+		for _, c := range r.cfg.Centers {
+			cs := res.CenterStats[c.Name]
+			cs.AvgAllocatedCPU += c.Allocated()[datacenter.CPU]
+			cs.AvgFreeCPU += c.Free()[datacenter.CPU]
+		}
+		// The observe stage's Active(now) left exactly the leases active
+		// at now in every book.
+		for i := range r.zones {
+			z := &r.zones[i]
+			for _, l := range z.Leases() {
+				r.usage.add(l.Center, z.regionCol, l.Alloc[datacenter.CPU])
+			}
+		}
+	}
+	return alloc[datacenter.CPU], load[datacenter.CPU]
+}
+
+// brownout sheds load at tick t when the surviving effective capacity —
+// minus the reserve held back per failure domain for failover headroom
+// — cannot cover the tick's CPU demand: the lowest-priority zones are
+// shed outright instead of letting every zone thrash over the
+// shortfall. The shed set is recomputed each brownout tick from the
+// live acquire order, so zones rejoin as capacity returns.
+func (r *run) brownout(t int, demand float64) {
+	if r.zoneShed == nil {
+		return
+	}
+	budget := 0.0
+	for _, c := range r.cfg.Centers {
+		budget += c.EffectiveCapacity()[datacenter.CPU]
+	}
+	budget *= 1 - r.cfg.BrownoutReserveFrac
+	if demand > budget {
+		r.resil.BrownoutTicks++
+		r.ro.brownoutTick()
+		if !r.brownoutActive {
+			r.brownoutActive = true
+			r.ro.brownoutTransition(t, true, demand-budget)
+		}
+		kept := 0.0
+		for _, zi := range r.acquireOrder {
+			z := &r.zones[zi]
+			zl := r.partials[zi].load[datacenter.CPU]
+			// Always keep the highest-priority zone: shedding
+			// everything serves no one.
+			if kept+zl <= budget || kept == 0 {
+				kept += zl
+				r.zoneShed[zi] = false
+				continue
+			}
+			r.zoneShed[zi] = true
+			released := z.ReleaseAll()
+			if released > 0 || z.lastObs > 0 {
+				r.resil.ShedLeases += released
+				r.resil.ShedPlayerTicks += z.lastObs
+				r.ro.shed(t, z.Tag, z.lastObs, released)
+			}
+		}
+	} else if r.brownoutActive {
+		r.brownoutActive = false
+		r.ro.brownoutTransition(t, false, 0)
+		clear(r.zoneShed)
+	}
+}
+
+// acquire leases tick t's per-zone gaps in acquire order — capacity
+// contention resolves exactly as in the sequential engine — and counts
+// the tick unmet when some zone's demand went unserved.
+func (r *run) acquire(t int, now time.Time) {
+	r.failoversNow = 0
+	anyUnmet := false
+	for _, zi := range r.acquireOrder {
+		if r.acquireZone(zi, t, now) {
+			anyUnmet = true
+		}
+	}
+	if anyUnmet {
+		r.res.Unmet++
+		r.ro.unmetTick()
+	}
+}
+
+// acquireZone is zone zi's acquire step at tick t and reports whether
+// the zone's demand went (partly) unserved. The gap of a zone whose
+// leases died with a failed center this tick already includes the
+// loss, so the same acquisition doubles as the failover re-acquisition
+// — excluding the centers that dropped it.
+func (r *run) acquireZone(zi, t int, now time.Time) (unmet bool) {
+	z := &r.zones[zi]
+	if r.zoneShed != nil && r.zoneShed[zi] {
+		// Shed in brownout: the demand is deliberately unserved, and any
+		// parked failover is moot — the leases are gone.
+		z.pendingLost = z.pendingLost[:0]
+		return z.lastObs > 0
+	}
+	lost := r.lostCenters[zi]
+	need := r.partials[zi].need
+	if len(z.pendingLost) > 0 && t >= z.failoverAt {
+		// A deferred failover comes due: fold the parked centers into
+		// this tick's exclusion list.
+		for _, name := range z.pendingLost {
+			if !slices.Contains(lost, name) {
+				lost = append(lost, name)
+			}
+		}
+		r.lostCenters[zi] = lost
+		z.pendingLost = z.pendingLost[:0]
+	}
+	if len(lost) == 0 && z.Waiting(t) {
+		// Backed off after injected rejections: don't hammer the
+		// ecosystem; the demand goes unserved this tick. A failover
+		// overrides the backoff — lost capacity is urgent.
+		return !need.IsZero()
+	}
+	if need.IsZero() {
+		return false
+	}
+	budget := r.cfg.FailoverBudgetPerTick
+	if len(lost) > 0 && budget > 0 && r.failoversNow >= budget {
+		// Storm control: the per-tick failover budget is spent — park
+		// the lost centers and come back after a short deterministic
+		// jitter, so a region blackout does not stampede every zone
+		// onto the survivors at once.
+		for _, name := range lost {
+			if !slices.Contains(z.pendingLost, name) {
+				z.pendingLost = append(z.pendingLost, name)
+			}
+		}
+		z.failoverAt = t + 1 + failoverJitter(zi, t)
+		r.resil.FailoversDeferred++
+		r.ro.failoverDeferred(t, z.Tag, z.failoverAt)
+		return true
+	}
+	retry := z.Retrying()
+	asp := r.ro.beginZoneAcquire(t, z.Tag, lost, retry)
+	if retry {
+		r.resil.Retries++
+		r.ro.retried(t, z.Tag, asp)
+	}
+	leases, short, out := z.Acquire(r.matcher, need, lost, now, t)
+	r.resil.Rejections += out.Rejections
+	r.resil.PartialGrants += out.PartialGrants
+	r.ro.acquired(t, z.Tag, leases, out, lost, asp)
+	if len(lost) > 0 {
+		r.failoversNow++
+		r.resil.Failovers++
+		r.resil.FailoverLeases += len(leases)
+	}
+	return !short.IsZero()
+}
+
+// saveCheckpoint writes the state after tick t when t is on the
+// checkpoint cadence or is the StopAfterTick tick.
+func (r *run) saveCheckpoint(t int) error {
+	if r.ckpt == nil || (t%r.ckptEvery != 0 && t != r.cfg.StopAfterTick) {
+		return nil
+	}
+	ro := r.ro
+	encStart := ro.now()
+	payload, err := r.snapshot(t)
+	if err != nil {
+		return err
+	}
+	encDone := ro.now()
+	if err := r.ckpt.Save(t, payload); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	ro.checkpointed(t, len(payload), encStart, encDone, ro.now())
+	return nil
+}
+
+// finish turns the accumulators into the run's Result.
+func (r *run) finish() *Result {
+	res := r.res
+	r.tracker.finish(res.Ticks)
+	ticks := float64(res.Ticks)
 	res.AvgUnderByGame = map[string]float64{}
-	for gi, w := range cfg.Workloads {
-		res.AvgUnderByGame[w.Game.Name] = gameUnderSum[gi] / float64(res.Ticks)
+	for gi, name := range r.gameNames {
+		res.AvgUnderByGame[name] = r.gameUnder[gi] / ticks
 	}
-
-	for r := 0; r < int(datacenter.NumResources); r++ {
-		if overTicks[r] > 0 {
-			res.AvgOverPct[r] = overSum[r] / float64(overTicks[r])
+	for k := 0; k < int(datacenter.NumResources); k++ {
+		if r.overTicks[k] > 0 {
+			res.AvgOverPct[k] = r.overSum[k] / float64(r.overTicks[k])
 		} else {
-			res.AvgOverPct[r] = math.NaN()
+			res.AvgOverPct[k] = math.NaN()
 		}
-		res.AvgUnderPct[r] = underSum[r] / float64(res.Ticks)
+		res.AvgUnderPct[k] = r.underSum[k] / ticks
 	}
-	if cfg.TrackCenters {
-		if usage != nil {
-			usage.flush(res.CenterStats)
+	if r.cfg.TrackCenters {
+		if r.usage != nil {
+			r.usage.flush(res.CenterStats)
 		}
 		for _, cs := range res.CenterStats {
-			cs.AvgAllocatedCPU /= float64(res.Ticks)
-			cs.AvgFreeCPU /= float64(res.Ticks)
+			cs.AvgAllocatedCPU /= ticks
+			cs.AvgFreeCPU /= ticks
 			for k := range cs.AllocatedByRegion {
-				cs.AllocatedByRegion[k] /= float64(res.Ticks)
+				cs.AllocatedByRegion[k] /= ticks
 			}
 		}
 	}
-	ro.finish(res)
-	return res, nil
+	r.ro.finish(res)
+	return res
 }
 
 // DistanceClassShares buckets each center's served CPU by the distance

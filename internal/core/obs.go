@@ -1,13 +1,13 @@
 package core
 
 import (
-	"strings"
 	"time"
 
 	"mmogdc/internal/datacenter"
 	"mmogdc/internal/ecosystem"
 	"mmogdc/internal/obs"
 	"mmogdc/internal/par"
+	"mmogdc/internal/provision"
 )
 
 // runObs is the engine's observability harness: every instrument the
@@ -75,13 +75,8 @@ type runObs struct {
 	obsSp   *obs.Span
 	acqSp   *obs.Span
 	curTick int
-	// Event-detail interning: grant/failover details are derived from
-	// center names, a tiny closed set, so the single-center case (the
-	// overwhelming majority) is cached and the name-dedup scratch is
-	// reused — steady-state telemetry then allocates nothing per event.
-	centersBuf    []string
-	centersDetail map[string]string
-	lostDetail    map[string]string
+	// events builds the grant/failover/rejection/decision events.
+	events *provision.AcquireEvents
 	// lastReject chains a retry span back to the rejection that caused
 	// the backoff; outageDepth/outageWin track the open async outage
 	// window per center (overlapping windows compose by depth, like the
@@ -172,8 +167,7 @@ func newRunObs(o *obs.Obs) *runObs {
 	ro.poolSkips = r.Counter("mmogdc_pool_helper_skips_total",
 		"Helper dispatches skipped because every resident worker was busy.")
 
-	ro.centersDetail = map[string]string{}
-	ro.lostDetail = map[string]string{}
+	ro.events = provision.NewAcquireEvents(o.Recorder)
 
 	if o.Tracer != nil {
 		ro.trc = o.Tracer
@@ -183,34 +177,6 @@ func newRunObs(o *obs.Obs) *runObs {
 		ro.outageName = map[string]string{}
 	}
 	return ro
-}
-
-// centersJoinedDetail builds the "centers: a,b" grant detail, caching
-// the one-center case (multi-center grants are rare enough to allocate).
-func (ro *runObs) centersJoinedDetail(centers []string) string {
-	if len(centers) == 1 {
-		d, ok := ro.centersDetail[centers[0]]
-		if !ok {
-			d = "centers: " + centers[0]
-			ro.centersDetail[centers[0]] = d
-		}
-		return d
-	}
-	return "centers: " + strings.Join(centers, ",")
-}
-
-// lostJoinedDetail builds the "lost: a,b" failover detail with the
-// same one-center caching.
-func (ro *runObs) lostJoinedDetail(lost []string) string {
-	if len(lost) == 1 {
-		d, ok := ro.lostDetail[lost[0]]
-		if !ok {
-			d = "lost: " + lost[0]
-			ro.lostDetail[lost[0]] = d
-		}
-		return d
-	}
-	return "lost: " + strings.Join(lost, ",")
 }
 
 // now reads the obs clock; the zero Time when disabled (no clock call).
@@ -530,52 +496,18 @@ func (ro *runObs) acquired(t int, tag string, leases []*datacenter.Lease, out ec
 	span := sp.ID()
 	ro.rejections.Add(int64(out.Rejections))
 	ro.partialGrants.Add(int64(out.PartialGrants))
-	if out.Rejections > 0 {
-		ro.o.Recorder.Record(obs.Event{Tick: t, Kind: obs.EventRejection, Subject: tag, Value: float64(out.Rejections), Span: span})
-		if ro.lastReject != nil && span != 0 {
-			ro.lastReject[tag] = span
-		}
+	if out.Rejections > 0 && ro.lastReject != nil && span != 0 {
+		ro.lastReject[tag] = span
 	}
 	if len(leases) > 0 {
 		ro.grants.Inc()
 		ro.grantLeases.Add(int64(len(leases)))
-		cpu := 0.0
-		centers := ro.centersBuf[:0]
-		for _, l := range leases {
-			cpu += l.Alloc[datacenter.CPU]
-			seen := false
-			for _, c := range centers {
-				if c == l.Center.Name {
-					seen = true
-					break
-				}
-			}
-			if !seen {
-				centers = append(centers, l.Center.Name)
-			}
-		}
-		ro.centersBuf = centers
-		ro.o.Recorder.Record(obs.Event{Tick: t, Kind: obs.EventGrant, Subject: tag,
-			Detail: ro.centersJoinedDetail(centers), Value: cpu, Span: span})
 	}
 	if len(lost) > 0 {
 		ro.failovers.Inc()
 		ro.failoverLeases.Add(int64(len(leases)))
-		ro.o.Recorder.Record(obs.Event{
-			Tick: t, Kind: obs.EventFailover, Subject: tag,
-			Detail: ro.lostJoinedDetail(lost), Value: float64(len(leases)), Span: span,
-		})
 	}
-	if out.Decision != nil {
-		// The decision event shares the acquire span with the grant /
-		// failover / rejection events above — that span is the join
-		// key from outcome to ranking. Building the walk Detail
-		// allocates, but only on the provenance-enabled path.
-		ro.o.Recorder.Record(obs.Event{
-			Tick: t, Kind: obs.EventDecision, Subject: tag,
-			Detail: out.Decision.WalkDetail(), Value: float64(out.Decision.Seq), Span: span,
-		})
-	}
+	ro.events.Record(t, tag, leases, out, lost, span)
 	sp.SetValue(float64(len(leases)))
 	sp.End()
 }

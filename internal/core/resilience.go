@@ -92,17 +92,24 @@ type outageTracker struct {
 	res     *Resilience
 	// open holds the in-progress window per center index.
 	open []*outageWindow
+	// openWindows counts the non-nil entries of open; restore rebuilds
+	// it from the decoded windows.
+	openWindows int
 	// pending holds start ticks of windows still waiting for the
 	// service to heal (a tick without a significant event).
 	pending []int
 	ttrSum  float64
+	// capLossStart is the tick the current capacity impairment began,
+	// -1 when capacity is whole.
+	capLossStart int
 }
 
 func newOutageTracker(centers []*datacenter.Center, res *Resilience) *outageTracker {
 	return &outageTracker{
-		centers: centers,
-		res:     res,
-		open:    make([]*outageWindow, len(centers)),
+		centers:      centers,
+		res:          res,
+		open:         make([]*outageWindow, len(centers)),
+		capLossStart: -1,
 	}
 }
 
@@ -121,6 +128,7 @@ func (ot *outageTracker) observe(t int) {
 		switch {
 		case w == nil && !healthy:
 			ot.open[i] = &outageWindow{start: t, sawFull: c.Offline()}
+			ot.openWindows++
 			ot.res.Outages++
 			ot.pending = append(ot.pending, t)
 		case w != nil && !healthy:
@@ -131,7 +139,25 @@ func (ot *outageTracker) observe(t int) {
 			ot.res.CapacityRecovered++
 			ot.classify(w)
 			ot.open[i] = nil
+			ot.openWindows--
 		}
+	}
+}
+
+// trackRecovery updates the time to full recovery at acquire tick t:
+// capacity is impaired while some center has an open outage window or
+// brownout is engaged, and TimeToFullRecoveryTicks keeps the longest
+// stretch from an impairment's onset to the tick it healed.
+func (ot *outageTracker) trackRecovery(t int, brownout bool) {
+	impaired := brownout || ot.openWindows > 0
+	switch {
+	case impaired && ot.capLossStart < 0:
+		ot.capLossStart = t
+	case !impaired && ot.capLossStart >= 0:
+		if d := t - ot.capLossStart; d > ot.res.TimeToFullRecoveryTicks {
+			ot.res.TimeToFullRecoveryTicks = d
+		}
+		ot.capLossStart = -1
 	}
 }
 

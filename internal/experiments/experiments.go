@@ -11,6 +11,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 
 	"mmogdc/internal/mmog"
 	"mmogdc/internal/predict"
@@ -130,15 +131,30 @@ func shadowCollected(o Options) [][]float64 {
 	return out
 }
 
+// pretrained memoizes neuralFactory per (Seed, Quick), the only
+// options pretraining depends on: a neuralKey maps to a sync.OnceValue
+// that trains once however many experiments ask for it concurrently.
+// Sharing the factory is safe because it clones the trained network
+// for every predictor it builds.
+var pretrained sync.Map
+
+type neuralKey struct {
+	seed  uint64
+	quick bool
+}
+
 // neuralFactory pretrains the paper's neural predictor on the shadow
-// trace.
+// trace, once per process for each (Seed, Quick).
 func neuralFactory(o Options) predict.Factory {
-	tc := predict.PaperTrainConfig(o.Seed + 2)
-	if o.Quick {
-		tc.MaxEras = 10
-	}
-	f, _ := predict.PretrainShared(predict.PaperNeuralConfig(o.Seed+3), shadowCollected(o), 0.8, tc)
-	return f
+	train, _ := pretrained.LoadOrStore(neuralKey{o.Seed, o.Quick}, sync.OnceValue(func() predict.Factory {
+		tc := predict.PaperTrainConfig(o.Seed + 2)
+		if o.Quick {
+			tc.MaxEras = 10
+		}
+		f, _ := predict.PretrainShared(predict.PaperNeuralConfig(o.Seed+3), shadowCollected(o), 0.8, tc)
+		return f
+	}))
+	return train.(func() predict.Factory)()
 }
 
 // standardGame is the RuneScape-like O(n^2) game of Sections V-B/V-D.

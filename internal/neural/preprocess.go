@@ -10,24 +10,15 @@ import (
 // polynomial functions which have the purpose of removing the
 // unwanted noise from the processed signal".
 type Preprocessor interface {
-	// Process returns the de-noised window; the result has the same
-	// length as the input. Implementations must not retain the input.
-	Process(window []float64) []float64
 	// ProcessInto writes the de-noised window into dst, which must have
-	// the same length as window and must not alias it. It computes the
-	// same values as Process without allocating; implementations may
-	// reuse internal scratch across calls, so a Preprocessor used via
-	// ProcessInto is not safe for concurrent use.
+	// the same length as window and must not alias it. Implementations
+	// must not retain the input and may reuse internal scratch across
+	// calls, so a Preprocessor is not safe for concurrent use.
 	ProcessInto(dst, window []float64)
 }
 
 // Identity passes the window through unchanged.
 type Identity struct{}
-
-// Process implements Preprocessor.
-func (Identity) Process(window []float64) []float64 {
-	return append([]float64(nil), window...)
-}
 
 // ProcessInto implements Preprocessor.
 func (Identity) ProcessInto(dst, window []float64) {
@@ -49,30 +40,9 @@ type PolySmoother struct {
 	scratch polyScratch
 }
 
-// Process implements Preprocessor. It is usable on a value receiver
-// (no scratch is retained) and always returns fresh slices.
-func (p PolySmoother) Process(window []float64) []float64 {
-	n := len(window)
-	deg := p.Degree
-	if deg < 0 {
-		deg = 0
-	}
-	if deg >= n {
-		// Not enough points to constrain the fit; pass through.
-		return append([]float64(nil), window...)
-	}
-	coef := polyfit(window, deg)
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = polyval(coef, float64(i))
-	}
-	return out
-}
-
-// ProcessInto implements Preprocessor. It computes bit-identical
-// values to Process into dst, reusing the receiver's scratch, so it
-// allocates only on the first call (or when the window geometry
-// grows).
+// ProcessInto implements Preprocessor. It reuses the receiver's
+// scratch, so it allocates only on the first call (or when the window
+// geometry grows).
 func (p *PolySmoother) ProcessInto(dst, window []float64) {
 	n := len(window)
 	deg := p.Degree
@@ -183,13 +153,6 @@ func (ps *polyScratch) fit(y []float64, degree int) []float64 {
 		coef[r] = sum / a[r][r]
 	}
 	return coef
-}
-
-// polyfit fits y[i] ~ poly(i) of the given degree with a throwaway
-// scratch, returning a fresh coefficient slice.
-func polyfit(y []float64, degree int) []float64 {
-	var ps polyScratch
-	return ps.fit(y, degree)
 }
 
 // polyval evaluates the polynomial (Horner).

@@ -2,12 +2,12 @@ package operator
 
 import (
 	"strconv"
-	"strings"
 	"time"
 
 	"mmogdc/internal/datacenter"
 	"mmogdc/internal/ecosystem"
 	"mmogdc/internal/obs"
+	"mmogdc/internal/provision"
 )
 
 // opObs is the operator's observability harness, mirroring the
@@ -37,11 +37,11 @@ type opObs struct {
 	allocCPU *obs.Gauge
 	loadCPU  *obs.Gauge
 
-	// Interned event strings: dropped-sample subjects and failover
-	// details are rebuilt every tick on the hot path otherwise. Both
-	// caches are tiny (bounded by the zone and center counts).
+	// zoneSubjects interns the dropped-sample subjects, rebuilt every
+	// tick on the hot path otherwise (bounded by the zone count).
 	zoneSubjects []string
-	lostDetail   map[string]string
+	// events builds the grant/failover/rejection/decision events.
+	events *provision.AcquireEvents
 }
 
 func newOpObs(o *obs.Obs, game string) *opObs {
@@ -77,7 +77,7 @@ func newOpObs(o *obs.Obs, game string) *opObs {
 			"CPU units the operator held at the last snapshot.", g),
 		loadCPU: r.Gauge("mmogdc_operator_load_cpu_units",
 			"CPU demand of the last monitoring snapshot.", g),
-		lostDetail: make(map[string]string),
+		events: provision.NewAcquireEvents(o.Recorder),
 	}
 }
 
@@ -87,20 +87,6 @@ func (oo *opObs) zoneSubject(zone int) string {
 		oo.zoneSubjects = append(oo.zoneSubjects, "zone "+strconv.Itoa(len(oo.zoneSubjects)))
 	}
 	return oo.zoneSubjects[zone]
-}
-
-// lostJoinedDetail returns the failover "lost: ..." detail, cached for
-// the common single-center case.
-func (oo *opObs) lostJoinedDetail(lost []string) string {
-	if len(lost) == 1 {
-		d, ok := oo.lostDetail[lost[0]]
-		if !ok {
-			d = "lost: " + lost[0]
-			oo.lostDetail[lost[0]] = d
-		}
-		return d
-	}
-	return "lost: " + strings.Join(lost, ",")
 }
 
 // beginObserve opens one Observe cycle's span at the cycle's already-
@@ -199,36 +185,14 @@ func (oo *opObs) acquired(tick int, game string, leases []*datacenter.Lease, out
 	if oo == nil {
 		return
 	}
-	span := oo.span()
 	oo.rejections.Add(int64(out.Rejections))
 	oo.partialGrants.Add(int64(out.PartialGrants))
-	if out.Rejections > 0 {
-		oo.o.Recorder.Record(obs.Event{Tick: tick, Kind: obs.EventRejection,
-			Subject: game, Value: float64(out.Rejections), Span: span})
-	}
 	if len(leases) > 0 {
 		oo.grants.Inc()
 		oo.grantLeases.Add(int64(len(leases)))
-		cpu := 0.0
-		for _, l := range leases {
-			cpu += l.Alloc[datacenter.CPU]
-		}
-		oo.o.Recorder.Record(obs.Event{Tick: tick, Kind: obs.EventGrant, Subject: game, Value: cpu, Span: span})
 	}
 	if len(lost) > 0 {
 		oo.failovers.Inc()
-		oo.o.Recorder.Record(obs.Event{
-			Tick: tick, Kind: obs.EventFailover, Subject: game,
-			Detail: oo.lostJoinedDetail(lost), Value: float64(len(leases)), Span: span,
-		})
 	}
-	if out.Decision != nil {
-		// Shares the acquire span with the events above — the join
-		// key from outcome to ranking. WalkDetail allocates, but only
-		// on the provenance-enabled path.
-		oo.o.Recorder.Record(obs.Event{
-			Tick: tick, Kind: obs.EventDecision, Subject: game,
-			Detail: out.Decision.WalkDetail(), Value: float64(out.Decision.Seq), Span: span,
-		})
-	}
+	oo.events.Record(tick, game, leases, out, lost, oo.span())
 }

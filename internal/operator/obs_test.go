@@ -154,3 +154,36 @@ func TestObserveCtxSpanParent(t *testing.T) {
 		t.Fatalf("unstamped observe cycle has parent %d", last.Parent)
 	}
 }
+
+// TestGrantEventNamesCenters: a granted Observe records a grant event
+// naming the centers that served it, the detail mmogaudit attributes
+// grants to centers by, as the engine's grant events do.
+func TestGrantEventNamesCenters(t *testing.T) {
+	o := obs.New()
+	op, err := New(Config{
+		Game:      mmog.NewGame("op", mmog.GenreMMORPG),
+		Origin:    geo.London,
+		Predictor: predict.NewLastValue(),
+		Matcher:   testMatcher(10),
+		Obs:       o,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := op.Observe(t0, []float64{800, 600, 400}); err != nil {
+		t.Fatal(err)
+	}
+	grants := 0
+	for _, e := range o.Recorder.Events() {
+		if e.Kind != obs.EventGrant {
+			continue
+		}
+		grants++
+		if e.Detail != "centers: dc" {
+			t.Errorf("grant event detail %q, want %q", e.Detail, "centers: dc")
+		}
+	}
+	if grants == 0 {
+		t.Fatal("a first Observe under demand recorded no grant event")
+	}
+}

@@ -22,6 +22,11 @@ go test -run '^$' -fuzz '^FuzzFromSnapshot$' -fuzztime 60s ./internal/operator/
 # untrusted bytes whole, never panic or leave the network half-restored.
 go test -run '^$' -fuzz '^FuzzMLPRestore$' -fuzztime 60s ./internal/neural/
 
+# The same for the engine's own checkpoint: core.Run's resume decoder,
+# restoring over freshly built run state, must reject untrusted bytes
+# with an error, never panic.
+go test -run '^$' -fuzz '^FuzzRestore$' -fuzztime 60s ./internal/core/
+
 # Gated benchmark snapshot: runs the CoreRun/Checkpoint/ObsOverhead
 # benchmarks and the per-layer ledger, center-expiry, matcher and
 # pretraining ones,
